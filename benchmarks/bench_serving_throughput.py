@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from repro.bench.reporting import emit, format_table
 from repro.core.engine import SemanticGraphQueryEngine
-from repro.serve import QueryService, replay, WorkloadItem
+from repro.serve import QueryService
+from repro.serve.workload import WorkloadItem, replay
 from repro.utils.timing import Stopwatch
 
 from conftest import BENCH_SCALE  # noqa: F401 (fixture module import idiom)

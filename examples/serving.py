@@ -10,7 +10,8 @@ Run:  python examples/serving.py
 
 from repro.bench.datasets import load_bundle
 from repro.query.builder import QueryGraphBuilder
-from repro.serve import QueryService, WorkloadItem, replay
+from repro.serve import QueryService
+from repro.serve.workload import WorkloadItem, replay
 
 
 def main() -> None:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke gate for the kernels and the execution-backend seam.
 
-Runs nine result-equivalence gates on small fixed workloads and exits
+Runs eight result-equivalence gates on small fixed workloads and exits
 non-zero **only** on a mismatch — the one property CI can judge on shared
 runners.  Timing numbers are recorded in the artifacts but never gate the
 build (CI machines are too noisy for that; the full-scale benches in
@@ -43,18 +43,11 @@ build (CI machines are too noisy for that; the full-scale benches in
    process+shm backends — all four exact-answer digests must be equal,
    the hot hit rate must reach 0.5 and a p50 cache hit must be at
    least 5x faster than a p50 miss) →
-   ``benchmarks/results/BENCH_answer_cache.json``;
-9. the sharded-store gate (``repro.bench.shardbench``: the held-out
-   scenario replayed unsharded vs entity-partitioned into 2 and 4
-   shards, on the inline and process+shm backends — all six
-   exact-answer digests must be equal, the largest shard's resident
-   bytes must stay strictly below the unsharded kernel's and within
-   the divided-edge-mass budget, and no per-shard ``/dev/shm`` segment
-   may survive) → ``benchmarks/results/BENCH_sharded_graph.json``.
+   ``benchmarks/results/BENCH_answer_cache.json``.
 
 Each gate is one row in the :data:`GATES` registry — a name, the
 implementing module, the artifact stem, the floors it enforces, and a
-runner returning a uniform :class:`GateResult` — so adding gate 10 is a
+runner returning a uniform :class:`GateResult` — so adding gate 9 is a
 runner function plus one registry line; the emit/print/judge loop in
 :func:`main` never changes.
 
@@ -96,7 +89,6 @@ from repro.bench.searchbench import (  # noqa: E402
     compare_search_kernels,
     d12_search_comparison,
 )
-from repro.bench.shardbench import run_shard_gate  # noqa: E402
 from repro.scenarios import (  # noqa: E402
     Workload,
     load_golden,
@@ -412,57 +404,6 @@ def _gate_answer_cache(ctx: GateContext) -> GateResult:
     )
 
 
-def _gate_sharded(ctx: GateContext) -> GateResult:
-    shard_gate = run_shard_gate(ctx.workload, workers=2)
-    summary = [
-        f"sharded store: {shard_gate.workload} unsharded "
-        f"{shard_gate.unsharded_bytes} B "
-        f"({shard_gate.num_nodes} nodes, {shard_gate.num_edges} edges)"
-    ]
-    for row in shard_gate.rows:
-        summary.append(
-            f"  {row.shards} shards ({row.strategy}): max shard "
-            f"{row.max_shard_bytes} B (budget {row.budget_bytes} B), "
-            f"{row.cut_edges} cut edges"
-        )
-    failures: List[str] = []
-    if not shard_gate.equivalent:
-        digests = dict(shard_gate.baseline_digests)
-        for row in shard_gate.rows:
-            for backend, digest in row.digests.items():
-                digests[f"{backend}/shards={row.shards}"] = digest
-        failures.append(
-            f"DIGEST MISMATCH across shard layouts: {digests}"
-        )
-    for row in shard_gate.rows:
-        if row.max_shard_bytes >= shard_gate.unsharded_bytes:
-            failures.append(
-                f"MAX SHARD {row.max_shard_bytes} B at {row.shards} shards "
-                f"is not below the unsharded "
-                f"{shard_gate.unsharded_bytes} B"
-            )
-        elif not row.within_budget:
-            failures.append(
-                f"MAX SHARD {row.max_shard_bytes} B at {row.shards} shards "
-                f"exceeds the divided-mass budget {row.budget_bytes} B"
-            )
-    if shard_gate.leaked:
-        failures.append(f"LEAKED SHM SEGMENTS: {shard_gate.leaked}")
-    return GateResult(
-        payload=shard_gate.to_json(),
-        passed=shard_gate.passed,
-        summary=summary,
-        ok=(
-            "sharded-store gate OK: digest partition-invariant on inline "
-            "and process+shm at "
-            f"{', '.join(str(r.shards) for r in shard_gate.rows)} shards, "
-            "max shard bytes within the divided budget, no leaked shm "
-            "segments"
-        ),
-        failures=failures,
-    )
-
-
 #: The smoke gates, in run order.  Adding a gate = a runner + one row.
 GATES: Tuple[Gate, ...] = (
     Gate("compact-kernel", "repro.bench.compactbench",
@@ -493,10 +434,6 @@ GATES: Tuple[Gate, ...] = (
          "BENCH_answer_cache",
          "digest cache-invariant, hit rate >= 0.5, hits >= 5x faster",
          _gate_answer_cache),
-    Gate("sharded-graph", "repro.bench.shardbench",
-         "BENCH_sharded_graph",
-         "digest partition-invariant, max shard bytes divided, no leaks",
-         _gate_sharded),
 )
 
 

@@ -74,8 +74,8 @@ def logs_dir() -> Path:
     """``benchmarks/results/logs`` — human-readable, git-ignored output.
 
     Kept apart from the machine-readable ``BENCH_*.json`` artifacts (the
-    only files force-added from the ignored results tree), so a bench run
-    can never leave a stray text log looking like a tracked artifact.
+    tracked files of the results tree), so a bench run can never leave a
+    stray text log looking like a tracked artifact.
     """
     path = results_dir() / "logs"
     path.mkdir(parents=True, exist_ok=True)

@@ -37,12 +37,6 @@ from repro.kg.compact import (
     CompactKnowledgeGraph,
 )
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.sharded import (
-    ShardedGraph,
-    ShardedGraphHandle,
-    ShardedKnowledgeGraph,
-    ShardedViewFactory,
-)
 from repro.query.decompose import Decomposition, decompose_query
 from repro.query.model import QueryGraph
 from repro.query.transform import NodeMatcher, TransformationLibrary
@@ -102,17 +96,6 @@ class EngineSpec:
     ``graph_handle`` are mutually exclusive (arrays by value vs by
     reference).
 
-    ``sharded_graph`` / ``sharded_handle`` are the entity-partitioned
-    equivalents (:mod:`repro.kg.sharded`): N per-shard kernels by value,
-    or one O(metadata) :class:`~repro.kg.sharded.ShardedGraphHandle`
-    naming N shared segments.  Mutually exclusive with
-    ``compact_graph``/``graph_handle`` — one spec describes one store —
-    and served through a
-    :class:`~repro.kg.sharded.ShardedKnowledgeGraph` facade plus a
-    rank-merging :class:`~repro.kg.sharded.ShardedGraphView` when ``kg``
-    is absent.  ``shard_fanout`` picks the per-shard gather schedule
-    (``"inline"`` or ``"pool"``); results are bit-identical either way.
-
     ``fault_plan`` optionally carries a picklable chaos-injection plan
     (see :class:`repro.serve.faults.FaultPlan`) to the worker
     initializer.  It is deliberately untyped here: the core layer never
@@ -135,9 +118,6 @@ class EngineSpec:
     search_kernel: str = "auto"
     compact_graph: Optional[CompactGraph] = None
     graph_handle: Optional[CompactGraphHandle] = None
-    sharded_graph: Optional[ShardedGraph] = None
-    sharded_handle: Optional[ShardedGraphHandle] = None
-    shard_fanout: str = "inline"
     fault_plan: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -160,43 +140,10 @@ class EngineSpec:
                 "pass either compact_graph (arrays by value) or "
                 "graph_handle (arrays by shared-memory reference), not both"
             )
-        if self.sharded_graph is not None and not self.compact:
-            raise SearchError("sharded_graph requires compact=True")
-        if self.sharded_handle is not None and not self.compact:
-            raise SearchError("sharded_handle requires compact=True")
-        if self.sharded_graph is not None and self.sharded_handle is not None:
+        if self.kg is None and self.graph_handle is None:
             raise SearchError(
-                "pass either sharded_graph (arrays by value) or "
-                "sharded_handle (arrays by shared-memory reference), not both"
-            )
-        sharded = self.sharded_graph is not None or self.sharded_handle is not None
-        if sharded and (
-            self.compact_graph is not None or self.graph_handle is not None
-        ):
-            raise SearchError(
-                "sharded_graph/sharded_handle are mutually exclusive with "
-                "compact_graph/graph_handle — one spec describes one store"
-            )
-        if self.shard_fanout not in ("inline", "pool"):
-            raise SearchError(
-                f"unknown shard_fanout {self.shard_fanout!r} "
-                "(expected 'inline' or 'pool')"
-            )
-        if (
-            self.kg is None
-            and self.graph_handle is None
-            and self.sharded_graph is None
-            and self.sharded_handle is None
-        ):
-            raise SearchError(
-                "a spec without kg needs a graph_handle (or a sharded "
-                "graph/handle) to rebuild the graph surface from"
-            )
-        if self.search_kernel == "vectorized" and sharded:
-            raise SearchError(
-                "search_kernel='vectorized' needs a single compact CSR; "
-                "the sharded view fans out across shards and only feeds "
-                "the reference kernel (use search_kernel='auto')"
+                "a spec without kg needs a graph_handle to rebuild the "
+                "graph surface from"
             )
         if self.search_kernel == "vectorized" and not self.compact:
             raise SearchError(
@@ -226,26 +173,6 @@ def build_engine(
     :class:`~repro.kg.compact.CompactKnowledgeGraph` facade over the
     shared columns.
     """
-    if spec.sharded_graph is not None or spec.sharded_handle is not None:
-        sharded = (
-            spec.sharded_graph
-            if spec.sharded_graph is not None
-            else ShardedGraph.from_handle(spec.sharded_handle)
-        )
-        kg = spec.kg if spec.kg is not None else ShardedKnowledgeGraph(sharded)
-        engine = SemanticGraphQueryEngine(
-            kg,
-            spec.space,
-            spec.library,
-            spec.config,
-            weight_cache=weight_cache,
-            view_factory=ShardedViewFactory(sharded, fanout=spec.shard_fanout),
-            assembly_kernel=spec.assembly_kernel,
-            search_kernel=spec.search_kernel,
-        )
-        engine._compact = True
-        engine._spec = spec
-        return engine
     if spec.graph_handle is not None:
         attached = CompactGraph.from_handle(spec.graph_handle)
         kg = spec.kg if spec.kg is not None else CompactKnowledgeGraph(attached)

@@ -18,7 +18,7 @@ compact CSR kernel (:class:`~repro.kg.compact.CompactGraph`, via
   resolves to the edge id and travel direction) — no per-state Python
   objects, the priority queue holds bare pool indexes, and
   :meth:`pool_arrays` exports the columns as flat numpy arrays for
-  vector consumers (the ROADMAP's shard/multiprocess items);
+  vector consumers;
 - **per-segment tables** are materialised once with whole-array numpy
   ops — one fancy-index scatters the query predicate's weight row and
   its exact logs onto CSR slots, alongside node-indexed columns for the
@@ -91,8 +91,8 @@ def supports_vectorized_search(view) -> bool:
 
     Duck-typed on the three capabilities the kernel consumes — the
     frozen CSR graph plus whole-graph weight and ``m(u)`` rows — so any
-    future view over a :class:`~repro.kg.compact.CompactGraph` (a shard
-    proxy, say) qualifies without inheriting from
+    view over a :class:`~repro.kg.compact.CompactGraph` qualifies without
+    inheriting from
     :class:`~repro.core.compact_view.CompactSemanticGraphView`.
     """
     return (
@@ -374,9 +374,8 @@ class VectorizedSubQuerySearch:
     def pool_arrays(self) -> Dict[str, np.ndarray]:
         """The state pool as flat numpy arrays (struct-of-arrays export).
 
-        A snapshot for vector consumers — offline analysis, a future
-        sharded/multiprocess driver — of every state the search has
-        admitted, column per field.  The search itself reads the python
+        A snapshot for vector consumers — offline analysis, say — of
+        every state the search has admitted, column per field.  The search itself reads the python
         columns (np scalar boxing would dominate the pop loop), so this
         materialises on demand rather than per allocation.
         """

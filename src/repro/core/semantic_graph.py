@@ -88,8 +88,7 @@ class WeightedGraphView(Protocol):
 
     Kept minimal so alternative backends can stand in for
     :class:`SemanticGraphView` — the numpy-backed
-    :class:`~repro.core.compact_view.CompactSemanticGraphView` today,
-    shard proxies later.
+    :class:`~repro.core.compact_view.CompactSemanticGraphView`.
     """
 
     def weighted_incident(

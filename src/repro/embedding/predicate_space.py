@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -233,36 +233,6 @@ class PredicateSpace:
             scores.pop(predicate, None)
         ranked = sorted(scores.items(), key=lambda kv: kv[1], reverse=True)
         return ranked[:n]
-
-    def with_private_rows(
-        self, *, max_cached_rows: Optional[int] = None
-    ) -> "PredicateSpace":
-        """A clone sharing this space's vectors but with its own row LRU.
-
-        The normalised matrix, name list and index are shared (no copy);
-        only the memoised-row cache, its lock and its counters are fresh.
-        Rows computed by the clone are bit-identical to this space's —
-        the reduction runs over the very same matrix — so per-consumer
-        clones (e.g. one per graph shard) trade a little recomputation
-        for lock-free independence and per-consumer hit/miss stats.
-        """
-        clone = object.__new__(PredicateSpace)
-        clone._names = self._names
-        clone._index = self._index
-        clone._matrix = self._matrix
-        clone._rows = OrderedDict()
-        clone._rows_lock = threading.Lock()
-        clone._max_rows = (
-            self._max_rows if max_cached_rows is None else max_cached_rows
-        )
-        if clone._max_rows < 1:
-            raise EmbeddingError(
-                f"max_cached_rows must be at least 1, got {clone._max_rows}"
-            )
-        clone._hits = 0
-        clone._misses = 0
-        clone._evictions = 0
-        return clone
 
     # ------------------------------------------------------------------
     def subspace(self, predicates: Iterable[str]) -> "PredicateSpace":

@@ -32,8 +32,8 @@ results byte-identical, heap tie-breaks included.
 
 The store is append-only (no deletions), so freezing is safe: a frozen
 kernel is immutable and :meth:`CompactGraph.is_stale` detects a graph
-that has since grown.  All index state is plain int arrays — picklable
-and shardable, unlike the object graph.
+that has since grown.  All index state is plain int arrays — picklable,
+unlike the object graph.
 
 Beyond pickling, the columns can live in **named shared memory**
 (:mod:`repro.kg.shm`): :meth:`CompactGraph.to_shared` packs them into one

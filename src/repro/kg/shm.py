@@ -49,11 +49,7 @@ import numpy as np
 from repro.errors import GraphError
 
 #: Name prefix for every segment this module creates — greppable in
-#: ``/dev/shm`` so tests and CI can assert nothing leaked.  Derived
-#: prefixes (e.g. the sharded store's per-shard
-#: ``repro.kg.sharded.SHARD_SEGMENT_PREFIX``) must *extend* this string
-#: so the default :func:`leaked_segments` scan covers them too; the
-#: conformance tests pin that containment.
+#: ``/dev/shm`` so tests and CI can assert nothing leaked.
 SHM_PREFIX = "repro-cg"
 
 #: Column alignment inside a block (cache-line sized).
@@ -71,10 +67,7 @@ def leaked_segments(prefix: str = SHM_PREFIX) -> List[str]:
     """Live segments under ``/dev/shm`` carrying our prefix.
 
     The leak probe tests and CI use: after every owner is closed the
-    list must be empty.  The default prefix also covers every *derived*
-    segment family — per-shard segments are named
-    ``repro-cg-shard<i>-…``, so a leaked shard shows up in the same
-    scan with no extra argument.  Returns ``[]`` on platforms without a
+    list must be empty.  Returns ``[]`` on platforms without a
     ``/dev/shm`` (the scan is a Linux-ism, like the fast attach path).
     """
     if not os.path.isdir(_SHM_ROOT):

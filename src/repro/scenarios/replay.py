@@ -146,9 +146,6 @@ def replay_scenario(
     answer_cache: int = 0,
     answer_cache_ttl: Optional[float] = None,
     popularity: Optional[PopularitySpec] = None,
-    shards: int = 0,
-    shard_strategy: str = "hash",
-    shard_fanout: str = "inline",
 ) -> ScenarioReplayResult:
     """One replay pass of the artifact through a fresh service.
 
@@ -162,10 +159,6 @@ def replay_scenario(
     cache; ``popularity`` resamples the item sequence on top of anything
     the artifact froze (seeded by the workload) — the cache gate uses
     both to prove the Zipf-skewed digest is cache-invariant.
-    ``shards``/``shard_strategy``/``shard_fanout`` serve the pass off
-    the entity-partitioned store (:mod:`repro.kg.sharded`; requires
-    ``compact=True``) — the sharding gate uses them to prove the digest
-    is partition-invariant.
     """
     if resources is None:
         resources = build_resources(workload)
@@ -194,10 +187,6 @@ def replay_scenario(
         extra["answer_cache"] = answer_cache
         if answer_cache_ttl is not None:
             extra["answer_cache_ttl"] = answer_cache_ttl
-    if shards:
-        extra["shards"] = shards
-        extra["shard_strategy"] = shard_strategy
-        extra["shard_fanout"] = shard_fanout
     with QueryService.build(
         resources.kg,
         resources.space,

@@ -24,8 +24,7 @@ state across a workload:
   fallback, hard timeouts, load shedding) driven in tests and CI by a
   deterministic, picklable :class:`~repro.serve.faults.FaultPlan`.
 
-Later scaling work (sharded graph stores, async front-ends) plugs in
-behind these seams; see ``docs/architecture.md``.
+See ``docs/architecture.md`` for how these layers fit together.
 """
 
 from repro.serve.backends import (
@@ -51,7 +50,6 @@ from repro.serve.service import (
     ServingStatsReport,
     query_shape_key,
 )
-from repro.serve.workload import ReplayReport, WorkloadItem, mix_deadlines, replay
 
 __all__ = [
     "CacheStats",
@@ -73,8 +71,4 @@ __all__ = [
     "ServiceStats",
     "ServingStatsReport",
     "query_shape_key",
-    "ReplayReport",
-    "WorkloadItem",
-    "mix_deadlines",
-    "replay",
 ]

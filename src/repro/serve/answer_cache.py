@@ -62,7 +62,6 @@ from typing import Callable, List, Optional, Tuple
 from repro.core.config import SearchConfig
 from repro.core.results import QueryResultPayload
 from repro.errors import ServeError
-from repro.kg.sharded import ShardedKnowledgeGraph, ShardedViewFactory
 from repro.query.model import QueryGraph
 from repro.query.transform import TransformationLibrary, normalize_label
 
@@ -127,43 +126,12 @@ class EngineFingerprint:
             config.max_expansions,
         )
 
-    @staticmethod
-    def _sharded_token(sharded) -> Tuple:
-        """Graph token of a sharded store (ShardedGraph *or* its handle).
-
-        Shard count, partitioning strategy and seed all join the token:
-        answers are bit-identical across shardings by construction, but
-        the partitioning is part of the engine's identity — resharding
-        is an epoch change, and a cache must never silently span one.
-        """
-        return (
-            "sharded",
-            sharded.kg_name,
-            sharded.num_nodes,
-            sharded.num_edges,
-            sharded.num_shards,
-            sharded.strategy,
-            sharded.seed,
-        )
-
     @classmethod
     def from_engine(cls, engine) -> "EngineFingerprint":
         """Fingerprint a live engine (inline/thread backends)."""
         kg = engine.kg
-        sharded = None
-        if isinstance(kg, ShardedKnowledgeGraph):
-            sharded = kg.sharded
-        elif isinstance(getattr(engine, "view_factory", None), ShardedViewFactory):
-            # A sharded engine built over an original-KG facade: the
-            # shard set still stamps the epoch (the fan-out seam, not
-            # the entity surface, is what answers flow through).
-            sharded = engine.view_factory.sharded
-        if sharded is not None:
-            graph = cls._sharded_token(sharded)
-        else:
-            graph = ("kg", kg.name, kg.num_entities, kg.num_edges)
         token = (
-            graph,
+            ("kg", kg.name, kg.num_entities, kg.num_edges),
             ("space", len(engine.space), engine.space.dim),
             cls._config_token(engine.config),
         )
@@ -174,20 +142,10 @@ class EngineFingerprint:
         """Fingerprint a picklable spec (the process backend's parent side).
 
         The spec may carry the graph by value (``kg``), as a frozen
-        kernel (``compact_graph``), as a shared-memory handle, or as a
-        sharded store (by value or by multi-segment handle) — all five
-        know their entity/edge counts, and the sharded forms share one
-        token shape so a pool rebuild (same shards, fresh segments)
-        keeps the epoch.  ``shard_fanout`` deliberately stays out of the
-        token: the fan-out schedule changes wall-clock, never answers.
+        kernel (``compact_graph``) or as a shared-memory handle — all
+        three know their entity/edge counts.
         """
-        if getattr(spec, "sharded_graph", None) is not None:
-            graph = cls._sharded_token(spec.sharded_graph)
-            anchor = spec.sharded_graph
-        elif getattr(spec, "sharded_handle", None) is not None:
-            graph = cls._sharded_token(spec.sharded_handle)
-            anchor = spec.sharded_handle
-        elif spec.kg is not None:
+        if spec.kg is not None:
             graph = ("kg", spec.kg.name, spec.kg.num_entities, spec.kg.num_edges)
             anchor = spec.kg
         elif spec.compact_graph is not None:

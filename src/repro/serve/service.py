@@ -56,13 +56,6 @@ from repro.embedding.predicate_space import PredicateSpace, SpaceCacheStats
 from repro.errors import ServeError
 from repro.kg.compact import CompactGraph, SharedCompactGraph
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.sharded import (
-    SHARD_STRATEGIES,
-    ShardCacheStats,
-    ShardedGraph,
-    ShardedViewFactory,
-    SharedShardedGraph,
-)
 from repro.kg.shm import leaked_segments
 from repro.query.model import QueryGraph
 from repro.query.transform import TransformationLibrary
@@ -101,10 +94,6 @@ __all__ = [
     "MIN_TIME_BOUND",
     "query_shape_key",
 ]
-
-#: A service's shared-memory graph lease: one segment for the single
-#: compact graph, one segment per shard for the sharded store.
-GraphLease = Union[SharedCompactGraph, SharedShardedGraph]
 
 
 @dataclass(frozen=True)
@@ -194,12 +183,6 @@ class ServingStatsReport:
     service, one instance regardless of backend, so ``answers`` carries
     its own ``answer_scope`` — always ``"shared"``, even while the
     worker caches above report a per-worker sum.
-
-    ``shards`` carries per-shard labelled cache rows on a sharded
-    service (inline/thread backends, where the one in-process shard set
-    is readable live — cf. the per-worker ``WorkerSnapshot`` rows);
-    empty otherwise.  On the process backend each worker owns a private
-    shard set, so only the summed totals above are reported.
     """
 
     backend: str
@@ -212,7 +195,6 @@ class ServingStatsReport:
     memo_misses: int
     answers: Optional[AnswerCacheStats] = None
     answer_scope: str = "shared"
-    shards: Tuple[ShardCacheStats, ...] = ()
 
     @property
     def memo_hit_rate(self) -> float:
@@ -243,10 +225,6 @@ class ServingStatsReport:
                 f"answer cache ({self.answer_scope}): "
                 f"{self.answers.describe()}"
             )
-        if self.shards:
-            lines.append(f"per-shard caches ({len(self.shards)} shards):")
-            for row in self.shards:
-                lines.append(f"  {row.describe()}")
         return "\n".join(lines)
 
 
@@ -273,7 +251,7 @@ def query_shape_key(
     return (nodes, edges, pivot or "", strategy)
 
 
-def _share_graph(spec: EngineSpec) -> Tuple[EngineSpec, GraphLease]:
+def _share_graph(spec: EngineSpec) -> Tuple[EngineSpec, SharedCompactGraph]:
     """Rewrite a compact spec to ship its graph by shared-memory reference.
 
     Freezes the CSR kernel if the spec does not already carry one,
@@ -281,23 +259,12 @@ def _share_graph(spec: EngineSpec) -> Tuple[EngineSpec, GraphLease]:
     spec — ``kg`` and ``compact_graph`` dropped, ``graph_handle`` set, so
     its pickle is O(metadata) — together with the owning lease the caller
     must keep alive while workers are attached and close afterwards.
-
-    A sharded spec publishes one segment per shard instead and ships a
-    :class:`~repro.kg.sharded.ShardedGraphHandle`; the returned
-    :class:`~repro.kg.sharded.SharedShardedGraph` multi-lease releases
-    its segments in reverse publication order on close.
     """
     if not spec.compact:
         raise ServeError(
             "shared_graph needs the compact CSR kernel; build the service "
             "with compact=True (--view compact)"
         )
-    if spec.sharded_graph is not None:
-        lease = spec.sharded_graph.to_shared()
-        shared_spec = replace(
-            spec, kg=None, sharded_graph=None, sharded_handle=lease.handle
-        )
-        return shared_spec, lease
     compact_graph = spec.compact_graph
     if compact_graph is None:
         assert spec.kg is not None
@@ -444,7 +411,7 @@ class QueryService:
         self._lock = threading.Lock()
         self._closed = False
         self._stats_baseline: Optional[WorkerSnapshot] = None
-        self._graph_lease: Optional[GraphLease] = None
+        self._graph_lease: Optional[SharedCompactGraph] = None
         self._supervised = supervised
         self._fault_plan = fault_plan
         self._retry_policy = (
@@ -630,23 +597,14 @@ class QueryService:
         return self._build_pool()
 
     @staticmethod
-    def _release_lease(lease: GraphLease) -> None:
-        """Release an owned shm lease, asserting its segments vanished.
-
-        Duck-typed over single- and multi-segment leases: a sharded
-        lease exposes ``names`` (one segment per shard, released in
-        reverse publication order by its ``close``), a single-graph
-        lease only ``name`` — every segment is probed against
-        ``/dev/shm`` after the release.
-        """
-        names = tuple(getattr(lease, "names", None) or (lease.name,))
+    def _release_lease(lease: SharedCompactGraph) -> None:
+        """Release an owned shm lease, asserting the segment vanished."""
+        name = lease.name
         lease.close()
-        leaked = set(leaked_segments())
-        still_present = [name for name in names if name in leaked]
-        if still_present:
+        if name in leaked_segments():
             raise ServeError(
-                f"shared-memory segment(s) {still_present!r} still present "
-                "in /dev/shm after their lease was released — refusing to "
+                f"shared-memory segment {name!r} is still present in "
+                "/dev/shm after its lease was released — refusing to "
                 "continue with a leak"
             )
 
@@ -686,10 +644,6 @@ class QueryService:
         search_kernel: str = "auto",
         backend: str = "thread",
         workers: Optional[int] = None,
-        shards: int = 0,
-        shard_strategy: str = "hash",
-        shard_seed: int = 0,
-        shard_fanout: str = "inline",
         **kwargs,
     ) -> "QueryService":
         """Build an engine (or spec) and wrap it in one call.
@@ -702,37 +656,9 @@ class QueryService:
         ``backend``/``workers`` pick the execution backend and pool size.
         ``shared_graph=True`` (process backend, with ``compact=True``)
         publishes the frozen kernel into shared memory so workers attach
-        zero-copy instead of unpickling graph arrays.  ``shards=N``
-        (with ``compact=True``) partitions the frozen kernel into N
-        entity-owned shards (:mod:`repro.kg.sharded`) served through the
-        rank-merged fan-out view — per-shard caches, per-shard shm
-        segments under ``shared_graph``; ``shard_strategy`` /
-        ``shard_seed`` pick the partitioner and ``shard_fanout``
-        (``"inline"``/``"pool"``) the gather schedule.  Exact results
-        are identical under every combination.
+        zero-copy instead of unpickling graph arrays.  Exact results are
+        identical under every combination.
         """
-        if shards < 0:
-            raise ServeError(f"shards must be non-negative, got {shards}")
-        if shards:
-            if not compact:
-                raise ServeError(
-                    "shards need the compact CSR kernel; build the service "
-                    "with compact=True (--view compact)"
-                )
-            if view_factory is not None:
-                raise ServeError(
-                    "pass either shards or view_factory, not both — the "
-                    "sharded store brings its own fan-out view factory"
-                )
-            if shard_strategy not in SHARD_STRATEGIES:
-                raise ServeError(
-                    f"unknown shard strategy {shard_strategy!r} "
-                    f"(expected one of {SHARD_STRATEGIES})"
-                )
-        elif shard_fanout != "inline":
-            raise ServeError(
-                f"shard_fanout={shard_fanout!r} needs shards; pass shards=N"
-            )
         if view_factory is not None:
             if backend == "process":
                 raise ServeError(
@@ -751,31 +677,6 @@ class QueryService:
                 search_kernel=search_kernel,
             )
             return cls(engine, backend=backend, workers=workers, **kwargs)
-        if shards:
-            # Partition once in the parent; every backend (and every
-            # process worker, via the spec pickle or the per-shard shm
-            # handles) serves the same shard set.  The spec drops ``kg``
-            # so all backends uniformly query through the sharded facade.
-            sharded = ShardedGraph.build(
-                kg, shards, strategy=shard_strategy, seed=shard_seed
-            )
-            spec = EngineSpec(
-                kg=None,
-                space=space,
-                library=library,
-                config=config,
-                compact=True,
-                assembly_kernel=assembly_kernel,
-                search_kernel=search_kernel,
-                sharded_graph=sharded,
-                shard_fanout=shard_fanout,
-            )
-            if backend == "process":
-                return cls(spec=spec, backend=backend, workers=workers, **kwargs)
-            return cls(
-                build_engine(spec), spec=spec, backend=backend,
-                workers=workers, **kwargs,
-            )
         spec = EngineSpec(
             kg=kg,
             space=space,
@@ -1010,24 +911,6 @@ class QueryService:
         """Per-worker statistics rows straight from the backend."""
         return self._backend.snapshots()
 
-    def shard_stats(self) -> List[ShardCacheStats]:
-        """Cumulative per-shard cache rows (sharded inline/thread only).
-
-        The shared-memory backends serve off one in-process shard set,
-        so its per-shard :class:`~repro.kg.sharded.SemanticGraphCache`
-        and private-row space counters are readable live.  Process
-        workers each own a private shard set; only their summed totals
-        travel back through :class:`WorkerSnapshot`, so this returns
-        ``[]`` there (and on any unsharded service).
-        """
-        engine = self.engine
-        if engine is None:
-            return []
-        factory = getattr(engine, "view_factory", None)
-        if isinstance(factory, ShardedViewFactory):
-            return factory.shard_stats()
-        return []
-
     def serving_stats(self) -> ServingStatsReport:
         """Cache/memo statistics with their aggregation scope labelled.
 
@@ -1074,7 +957,6 @@ class QueryService:
             # One front-side instance regardless of backend — labelled
             # shared even when the worker caches above are summed.
             answer_scope="shared",
-            shards=tuple(self.shard_stats()),
         )
 
     def reset_serving_stats(self) -> None:
@@ -1130,15 +1012,13 @@ class QueryService:
         # worker that had not attached yet (workers attach lazily on
         # their first task).  Workers that are already attached only hold
         # mappings, which die with their processes.  Released through the
-        # leak probe — on a sharded service that walks every shard
-        # segment (reverse publication order) and asserts each left
-        # /dev/shm.
+        # leak probe, which asserts the segment left /dev/shm.
         lease, self._graph_lease = self._graph_lease, None
         if lease is not None:
             self._release_lease(lease)
 
     @property
-    def graph_lease(self) -> Optional[GraphLease]:
+    def graph_lease(self) -> Optional[SharedCompactGraph]:
         """The shared-memory graph lease (``None`` unless shared_graph).
 
         Under supervision the lease changes identity across pool

@@ -53,7 +53,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.core.assembly import ASSEMBLY_KERNELS
 from repro.core.astar import SEARCH_KERNELS
 from repro.errors import OverloadError, ScenarioError, ServeError
-from repro.kg.sharded import SHARD_STRATEGIES
 from repro.query.model import QueryGraph
 from repro.serve.backends import EXECUTION_BACKENDS
 from repro.serve.cache import CacheStats
@@ -716,41 +715,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "partition the frozen CSR graph into N entity-owned shards "
-            "(requires --view compact): per-shard caches, rank-merged "
-            "incident fan-out, and — with --shared-graph — one shm "
-            "segment per shard.  Exact results are bit-identical to the "
-            "unsharded store (default: 0 = unsharded)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-strategy",
-        default="hash",
-        choices=SHARD_STRATEGIES,
-        help=(
-            "entity partitioner for --shards: 'hash' (seeded uniform "
-            "mixing) or 'balanced-degree' (greedy degree-mass "
-            "balancing).  Deterministic; identical answers either way "
-            "(default: hash)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-fanout",
-        default="inline",
-        choices=("inline", "pool"),
-        help=(
-            "per-shard gather schedule for --shards: 'inline' runs the "
-            "shards sequentially on the calling thread, 'pool' fans out "
-            "on a small thread pool.  The merge is rank-keyed, so both "
-            "produce identical results (default: inline)"
-        ),
-    )
-    parser.add_argument(
         "--view",
         default="lazy",
         choices=("lazy", "compact"),
@@ -1010,12 +974,6 @@ def _run_scenario(args, parser) -> int:
         ttl = answer_kwargs.get("answer_cache_ttl")
         ttl_note = f", ttl {ttl} s" if ttl is not None else ""
         print(f"answer cache: {args.answer_cache} entries{ttl_note}")
-    if args.shards:
-        print(
-            f"sharded store: {args.shards} shards "
-            f"({args.shard_strategy} partitioner, "
-            f"{args.shard_fanout} fan-out)"
-        )
     with QueryService.build(
         resources.kg,
         resources.space,
@@ -1027,9 +985,6 @@ def _run_scenario(args, parser) -> int:
         assembly_kernel=args.assembly_kernel,
         search_kernel=args.search_kernel,
         shared_graph=args.shared_graph,
-        shards=args.shards,
-        shard_strategy=args.shard_strategy,
-        shard_fanout=args.shard_fanout,
         **resilience_kwargs,
         **answer_kwargs,
     ) as service:
@@ -1106,18 +1061,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--shared-graph requires --backend process")
     if args.shared_graph and args.view != "compact":
         parser.error("--shared-graph requires --view compact")
-    if args.shards < 0:
-        parser.error(f"--shards must be non-negative, got {args.shards}")
-    if args.shards and args.view != "compact":
-        parser.error("--shards requires --view compact")
-    if args.shards and args.search_kernel == "vectorized":
-        parser.error(
-            "--shards feeds the rank-merged fan-out view, which only the "
-            "reference search kernel consumes; drop --search-kernel "
-            "vectorized (use auto)"
-        )
-    if args.shard_fanout != "inline" and not args.shards:
-        parser.error("--shard-fanout requires --shards")
     if args.scenario is not None:
         return _run_scenario(args, parser)
     # Deferred import: bundle generation pulls in the full bench stack.
@@ -1162,12 +1105,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ttl = answer_kwargs.get("answer_cache_ttl")
         ttl_note = f", ttl {ttl} s" if ttl is not None else ""
         print(f"answer cache: {args.answer_cache} entries{ttl_note}")
-    if args.shards:
-        print(
-            f"sharded store: {args.shards} shards "
-            f"({args.shard_strategy} partitioner, "
-            f"{args.shard_fanout} fan-out)"
-        )
     with QueryService.build(
         bundle.kg,
         bundle.space,
@@ -1178,9 +1115,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         assembly_kernel=args.assembly_kernel,
         search_kernel=args.search_kernel,
         shared_graph=args.shared_graph,
-        shards=args.shards,
-        shard_strategy=args.shard_strategy,
-        shard_fanout=args.shard_fanout,
         **resilience_kwargs,
         **answer_kwargs,
     ) as service:

@@ -15,6 +15,7 @@ Covers the three claims the result-level cache makes:
    ``max_pending`` admission (it never becomes a backend attempt).
 """
 
+import contextlib
 import pickle
 import threading
 
@@ -24,7 +25,9 @@ from hypothesis import strategies as st
 
 from repro.bench.equivalence import final_matches_differ
 from repro.core.config import SearchConfig, VisitedPolicy
+from repro.core.engine import EngineSpec
 from repro.errors import OverloadError, ServeError
+from repro.kg.compact import CompactGraph
 from repro.kg.schema import preset_schema
 from repro.query.builder import QueryGraphBuilder
 from repro.query.model import QueryGraph
@@ -351,6 +354,46 @@ class TestAnswerCacheUnit:
 # ----------------------------------------------------------------------
 # service integration
 # ----------------------------------------------------------------------
+
+class TestEngineFingerprintFromSpec:
+    """``from_spec`` stamps the process backend's cache epoch."""
+
+    @pytest.mark.parametrize(
+        "form, head",
+        [("kg", "kg"), ("compact_graph", "kg"), ("graph_handle", "handle")],
+    )
+    def test_graph_token_per_spec_form(self, small_bundle, form, head):
+        """A ``compact_graph`` spec always carries ``kg`` too, so it is
+        keyed like the plain spec: freezing a kernel into the spec keeps
+        the epoch.  A handle spec is keyed by the published graph, and a
+        fresh segment for the same frozen graph — what a pool rebuild
+        publishes — keeps the token."""
+        kg, space = small_bundle.kg, small_bundle.space
+        frozen = CompactGraph.freeze(kg)
+
+        def fingerprint(config=None):
+            with contextlib.ExitStack() as stack:
+                graph = {"kg": kg}
+                if form == "compact_graph":
+                    graph.update(compact=True, compact_graph=frozen)
+                elif form == "graph_handle":
+                    lease = stack.enter_context(frozen.to_shared())
+                    graph = {"kg": None, "compact": True,
+                             "graph_handle": lease.handle}
+                spec = EngineSpec(
+                    space=space, library=small_bundle.library,
+                    config=config, **graph,
+                )
+                return EngineFingerprint.from_spec(spec)
+
+        first = fingerprint()
+        assert first.token[0] == (head, kg.name, kg.num_entities, kg.num_edges)
+        assert first.token[1] == ("space", len(space), space.dim)
+        assert fingerprint().token == first.token
+        retuned = fingerprint(SearchConfig(tau=SearchConfig().tau / 2))
+        assert retuned.token != first.token
+        assert retuned.token[0] == first.token[0]
+
 
 def _assert_same_answer(expected, actual):
     problem = final_matches_differ("cache", expected.matches, actual.matches)

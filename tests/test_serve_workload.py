@@ -1,9 +1,13 @@
 """Tests for the workload replay driver (repro.serve.workload)."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ServeError
 from repro.serve.service import QueryRequest, QueryService
 from repro.serve.workload import ReplayReport, WorkloadItem, mix_deadlines, replay
@@ -246,6 +250,23 @@ class TestMixDeadlines:
 
 
 class TestConsoleEntrypoint:
+    def test_module_run_emits_no_runpy_warning(self):
+        """``python -m repro.serve.workload`` must not find the module
+        already imported by its package (runpy's RuntimeWarning)."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.serve.workload", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+
     def test_main_smoke(self, capsys):
         code = workload_main(
             [
