@@ -108,8 +108,6 @@ def test_astar_kernel_equivalence_and_speedup(dbpedia_bundle, benchmark):
         dbpedia_bundle.kg,
         dbpedia_bundle.space,
         dbpedia_bundle.library,
-        compact=True,
-        search_kernel="vectorized",
     )
     item = next(
         (q for q in dbpedia_bundle.workload if q.qid == d12["qid"]),

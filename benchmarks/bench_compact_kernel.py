@@ -77,9 +77,7 @@ def test_compact_kernel_equivalence_and_speedup(dbpedia_bundle, benchmark):
 
     # Steady-state single-query latency on the compact kernel (shared
     # frozen graph, fresh view per call — the serving cold path).
-    engine = SemanticGraphQueryEngine(
-        bundle.kg, bundle.space, bundle.library, compact=True
-    )
+    engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
     query = bundle.workload[0].query
     engine.search(query, k=K)  # freeze + matcher warm-up outside the timer
     benchmark(lambda: engine.search(query, k=K))

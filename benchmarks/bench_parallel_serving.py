@@ -123,7 +123,6 @@ def test_parallel_serving_steady_state(dbpedia_bundle, benchmark):
         dbpedia_bundle.library,
         backend="thread",
         workers=WORKERS,
-        compact=True,
     ) as service:
         service.search_many(queries, k=K)  # warm
         benchmark(lambda: service.search_many(queries[:2], k=K))

@@ -1,43 +1,36 @@
 #!/usr/bin/env python
-"""CI smoke gate for the kernels and the execution-backend seam.
+"""CI smoke gate for the execution backends and the serving paths.
 
-Runs eight result-equivalence gates on small fixed workloads and exits
+Runs five result-equivalence gates on small fixed workloads and exits
 non-zero **only** on a mismatch — the one property CI can judge on shared
 runners.  Timing numbers are recorded in the artifacts but never gate the
 build (CI machines are too noisy for that; the full-scale benches in
-``benchmarks/`` assert the speedups on dedicated hardware):
+``benchmarks/`` assert the speedups on dedicated hardware).  The kernel
+conformance checks against the reference oracles (lazy view, reference
+TA, reference A*) are tier-1 tests (``tests/test_oracle_conformance.py``):
 
-1. lazy vs compact semantic-graph view (``repro.bench.compactbench``) →
-   ``benchmarks/results/BENCH_compact_kernel.json``;
-2. reference vs vectorized TA assembly (``repro.bench.assemblybench``:
-   fixed synthetic stream cases plus one end-to-end engine query) →
-   ``benchmarks/results/BENCH_ta_assembly.json``;
-3. reference vs array-backed A* search (``repro.bench.searchbench``:
-   every workload query drained under both visited policies, plus one
-   end-to-end engine query) →
-   ``benchmarks/results/BENCH_astar_kernel.json``;
-4. inline vs thread vs process vs process-shm serving backends
+1. inline vs thread vs process vs process-shm serving backends
    (``repro.bench.parallelbench``: the workload replayed twice per
    backend on a 2-worker pool, process workers bootstrapped from the
    pickled EngineSpec — by value and by shared-memory graph handle) →
    ``benchmarks/results/BENCH_parallel_serving.json``;
-5. the held-out scenario suite (``repro.scenarios``: the checked-in
+2. the held-out scenario suite (``repro.scenarios``: the checked-in
    ``benchmarks/scenarios/held_out_v1.pkl`` workload replayed against
    its recorded golden answers — exact-query result-set equivalence
    plus per-intent p95 latency within the artifact's declared budget) →
    ``benchmarks/results/BENCH_scenarios.json``;
-6. the shared-memory graph gate (``compare_shared_graph``: process
+3. the shared-memory graph gate (``compare_shared_graph``: process
    backend with the graph shipped by value vs attached zero-copy from
    shared memory — bit-identical to inline, spec pickle reduced >= 10x,
    no ``/dev/shm`` segment leaked) →
    ``benchmarks/results/BENCH_shared_graph.json``;
-7. the chaos gate (``repro.bench.chaosbench``: the held-out scenario
+4. the chaos gate (``repro.bench.chaosbench``: the held-out scenario
    replayed on a supervised process pool under a deterministic
    FaultPlan that SIGKILLs a worker mid-replay — the pool must rebuild
    in place, the recovered replay must print the fault-free exact-answer
    digest with zero failed requests, and no ``/dev/shm`` segment may
    survive) → ``benchmarks/results/BENCH_resilience.json``;
-8. the answer-cache gate (``repro.bench.cachebench``: the held-out
+5. the answer-cache gate (``repro.bench.cachebench``: the held-out
    scenario resampled under a seeded Zipf popularity law and replayed
    with the result-level answer cache off and on, on the inline and
    process+shm backends — all four exact-answer digests must be equal,
@@ -47,7 +40,7 @@ build (CI machines are too noisy for that; the full-scale benches in
 
 Each gate is one row in the :data:`GATES` registry — a name, the
 implementing module, the artifact stem, the floors it enforces, and a
-runner returning a uniform :class:`GateResult` — so adding gate 9 is a
+runner returning a uniform :class:`GateResult` — so adding gate 6 is a
 runner function plus one registry line; the emit/print/judge loop in
 :func:`main` never changes.
 
@@ -71,13 +64,7 @@ from typing import Callable, List, Tuple
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.bench.assemblybench import (  # noqa: E402
-    compare_assembly_kernels,
-    d12_comparison,
-    default_cases,
-)
 from repro.bench.cachebench import run_cache_gate  # noqa: E402
-from repro.bench.compactbench import compare_kernels  # noqa: E402
 from repro.bench.datasets import load_bundle  # noqa: E402
 from repro.bench.chaosbench import run_chaos_gate  # noqa: E402
 from repro.bench.parallelbench import (  # noqa: E402
@@ -85,10 +72,6 @@ from repro.bench.parallelbench import (  # noqa: E402
     compare_shared_graph,
 )
 from repro.bench.reporting import emit_json  # noqa: E402
-from repro.bench.searchbench import (  # noqa: E402
-    compare_search_kernels,
-    d12_search_comparison,
-)
 from repro.scenarios import (  # noqa: E402
     Workload,
     load_golden,
@@ -144,78 +127,6 @@ def _clip(problems, limit=10) -> List[str]:
 # ----------------------------------------------------------------------
 # gate runners
 # ----------------------------------------------------------------------
-
-def _gate_compact(ctx: GateContext) -> GateResult:
-    args = ctx.args
-    comparison = compare_kernels(
-        ctx.bundle, k=args.k, passes=args.passes, scale=args.scale
-    )
-    return GateResult(
-        payload=comparison.to_json(),
-        passed=comparison.equivalent,
-        summary=[
-            f"lazy {comparison.lazy_seconds * 1000:.1f} ms, "
-            f"compact {comparison.compact_seconds * 1000:.1f} ms "
-            f"(speedup {comparison.speedup:.2f}x, informational), "
-            f"freeze {comparison.freeze_seconds * 1000:.1f} ms"
-        ],
-        ok=f"view equivalence OK on all {comparison.num_queries} queries",
-        failures=["EQUIVALENCE MISMATCH between compact and lazy kernels:"]
-        + _clip(comparison.mismatches),
-    )
-
-
-def _gate_assembly(ctx: GateContext) -> GateResult:
-    args = ctx.args
-    assembly = compare_assembly_kernels(
-        default_cases("smoke"), passes=args.passes
-    )
-    assembly.d12 = d12_comparison(ctx.bundle, k=args.k, passes=args.passes)
-    return GateResult(
-        payload=assembly.to_json(),
-        passed=assembly.equivalent,  # folds in the end-to-end comparison
-        summary=[
-            f"assembly: reference {assembly.reference_seconds * 1000:.1f} ms, "
-            f"vectorized {assembly.vectorized_seconds * 1000:.1f} ms "
-            f"(speedup {assembly.speedup:.2f}x, informational); "
-            f"end-to-end {assembly.d12['qid']}: "
-            f"{assembly.d12['reference_ms']:.1f} -> "
-            f"{assembly.d12['vectorized_ms']:.1f} ms"
-        ],
-        ok=(
-            f"assembly equivalence OK on all {assembly.num_cases} cases "
-            f"+ {assembly.d12['qid']}"
-        ),
-        failures=["EQUIVALENCE MISMATCH between vectorized and reference "
-                  "assembly kernels:"] + _clip(assembly.mismatches),
-    )
-
-
-def _gate_search(ctx: GateContext) -> GateResult:
-    args = ctx.args
-    search = compare_search_kernels(ctx.bundle, passes=args.passes)
-    search.d12 = d12_search_comparison(
-        ctx.bundle, k=args.k, passes=args.passes
-    )
-    return GateResult(
-        payload=search.to_json(),
-        passed=search.equivalent,  # folds in the end-to-end comparison
-        summary=[
-            f"search: reference {search.reference_seconds * 1000:.1f} ms, "
-            f"vectorized {search.vectorized_seconds * 1000:.1f} ms "
-            f"(speedup {search.speedup:.2f}x, informational); "
-            f"end-to-end {search.d12['qid']}: "
-            f"{search.d12['reference_ms']:.1f} -> "
-            f"{search.d12['vectorized_ms']:.1f} ms"
-        ],
-        ok=(
-            f"search equivalence OK on all {search.num_cases} "
-            f"(query, policy) cases + {search.d12['qid']}"
-        ),
-        failures=["DECISION MISMATCH between vectorized and reference "
-                  "search kernels:"] + _clip(search.mismatches),
-    )
-
 
 def _gate_backends(ctx: GateContext) -> GateResult:
     args = ctx.args
@@ -406,15 +317,6 @@ def _gate_answer_cache(ctx: GateContext) -> GateResult:
 
 #: The smoke gates, in run order.  Adding a gate = a runner + one row.
 GATES: Tuple[Gate, ...] = (
-    Gate("compact-kernel", "repro.bench.compactbench",
-         "BENCH_compact_kernel",
-         "result equivalence lazy vs compact", _gate_compact),
-    Gate("ta-assembly", "repro.bench.assemblybench",
-         "BENCH_ta_assembly",
-         "result equivalence reference vs vectorized TA", _gate_assembly),
-    Gate("astar-kernel", "repro.bench.searchbench",
-         "BENCH_astar_kernel",
-         "decision equivalence reference vs array-backed A*", _gate_search),
     Gate("parallel-serving", "repro.bench.parallelbench",
          "BENCH_parallel_serving",
          "result equivalence across serving backends", _gate_backends),

@@ -19,9 +19,9 @@ termination decision, which keeps the conformance assertion sharp rather
 than tolerance-based.
 
 Shared by ``benchmarks/bench_ta_assembly.py`` (full-scale, pytest) and
-``scripts/bench_smoke.py`` (small-scale, CI gate): CI fails on a
-result-equivalence mismatch while treating the timing numbers as
-informational.
+``tests/test_oracle_conformance.py`` (small-scale, tier-1): the tests
+fail on a result-equivalence mismatch while treating the timing numbers
+as informational.
 """
 
 from __future__ import annotations

@@ -156,7 +156,6 @@ def _measure_hot_path(
         resources.library,
         resources.config,
         backend="inline",
-        compact=True,
         answer_cache=capacity,
     ) as service:
         for item in items:

@@ -1,9 +1,11 @@
 """Compact-kernel benchmark harness: equivalence proof + speedup report.
 
 Runs the same cold top-k workload (the Fig. 12-style synthetic workload)
-through two engines over one graph — the paper's lazy
-:class:`~repro.core.semantic_graph.SemanticGraphView` and the frozen CSR
-:class:`~repro.core.compact_view.CompactSemanticGraphView` — and:
+through two engines over one graph — the lazy oracle (the paper's
+:class:`~repro.core.semantic_graph.SemanticGraphView` with the reference
+A*) and the default engine (the frozen CSR
+:class:`~repro.core.compact_view.CompactSemanticGraphView` with the
+array-backed A*) — and:
 
 1. asserts **byte-identical results** on every query (pivots, exact
    scores, the very same ``Edge`` objects along every match path);
@@ -12,8 +14,9 @@ through two engines over one graph — the paper's lazy
    reports the speedup plus the one-off freeze cost.
 
 Shared by ``benchmarks/bench_compact_kernel.py`` (full-scale, pytest) and
-``scripts/bench_smoke.py`` (small-scale, CI gate): the CI job fails on an
-equivalence mismatch while treating the perf numbers as informational.
+``tests/test_oracle_conformance.py`` (small-scale, tier-1): the tests fail
+on an equivalence mismatch while treating the perf numbers as
+informational.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.bench.datasets import DatasetBundle
-from repro.bench.equivalence import final_matches_differ
-from repro.core.compact_view import CompactViewFactory
+from repro.bench.equivalence import final_matches_differ, lazy_oracle_engine
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.results import QueryResult
 from repro.errors import ReproError
@@ -117,17 +119,16 @@ def compare_kernels(
     queries = [q.query for q in bundle.workload]
     qids = [q.qid for q in bundle.workload]
 
-    lazy_engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
+    # The lazy side keeps the vectorized TA, so only the view and the
+    # search kernel differ between the two engines.
+    lazy_engine = lazy_oracle_engine(
+        bundle.kg, bundle.space, bundle.library, assembly_kernel="vectorized"
+    )
 
     freeze_start = time.perf_counter()
-    frozen = CompactGraph.freeze(bundle.kg)
+    CompactGraph.freeze(bundle.kg)
     freeze_seconds = time.perf_counter() - freeze_start
-    compact_engine = SemanticGraphQueryEngine(
-        bundle.kg,
-        bundle.space,
-        bundle.library,
-        view_factory=CompactViewFactory(frozen),
-    )
+    compact_engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
 
     # Pre-warm the shared PredicateSpace row cache: both engines read the
     # same space, so whichever kernel ran first would otherwise pay each

@@ -1,21 +1,24 @@
-"""Shared result-identity predicates for the kernel equivalence gates.
+"""Result-identity predicates and oracle engines for the conformance suites.
 
-Every kernel this reproduction adds (the compact CSR semantic-graph view,
-the vectorized TA assembly kernel, the array-backed A* search kernel)
-claims *identical results* to its reference implementation — same final
-matches, bit-equal scores, same components, and for the search kernel
-the same per-sub-query emission stream and counters.  This module owns
-the one definition of those claims, so the CI gates
+The engine's one pipeline (the compact CSR semantic-graph view, the
+array-backed A* search kernel, the vectorized TA assembly kernel) claims
+*identical results* to the reference implementations kept as its
+oracles — same final matches, bit-equal scores, same components, and for
+the search kernel the same per-sub-query emission stream and counters.
+This module owns the one definition of those claims and the one way to
+build the lazy-view oracle engine, so the benchmark harnesses
 (`repro.bench.compactbench`, `repro.bench.assemblybench`,
-`repro.bench.searchbench`, `scripts/bench_smoke.py`) and the conformance
-test suites cannot drift in what they actually check.
+`repro.bench.searchbench`) and the conformance test suites cannot drift
+in what they actually check.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.results import FinalMatch, PathMatch, SearchStats
+from repro.core.semantic_graph import SemanticGraphView
 
 #: SearchStats counters that must match bit-for-bit across search
 #: kernels.  ``nodes_touched`` / ``edges_weighted`` are *view*-level
@@ -99,3 +102,33 @@ def search_stats_differ(
         if a != b:
             return f"{label}: {field} {a} != {b}"
     return None
+
+
+def lazy_view(kg, space, *, min_weight: float = 0.0, cache=None) -> SemanticGraphView:
+    """The lazy ``SG_Q`` oracle in the engine's ``view_factory`` shape.
+
+    ``cache`` is accepted and ignored: the oracle recomputes every
+    weight and ``m(u)`` bound itself.
+    """
+    return SemanticGraphView(kg, space, min_weight=min_weight)
+
+
+def lazy_oracle_engine(
+    kg, space, library=None, config=None, *, assembly_kernel: str = "reference"
+) -> SemanticGraphQueryEngine:
+    """An engine running the paper's construction end to end.
+
+    The lazy :class:`~repro.core.semantic_graph.SemanticGraphView`, the
+    reference A* (:class:`~repro.core.astar.SubQuerySearch`) and, by
+    default, the reference TA assembler.
+    """
+    engine = SemanticGraphQueryEngine(
+        kg,
+        space,
+        library,
+        config,
+        assembly_kernel=assembly_kernel,
+        search_kernel="reference",
+    )
+    engine.view_factory = lazy_view
+    return engine

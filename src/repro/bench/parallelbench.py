@@ -193,7 +193,6 @@ def compare_backends(
     workers: int = 2,
     passes: int = 2,
     repeats: int = 1,
-    compact: bool = True,
     start_method: Optional[str] = None,
     qids: Optional[Sequence[str]] = None,
 ) -> BackendComparison:
@@ -223,7 +222,7 @@ def compare_backends(
     )
 
     def build_service(backend: str) -> QueryService:
-        kwargs = dict(_service_kwargs(backend), workers=workers, compact=compact)
+        kwargs = dict(_service_kwargs(backend), workers=workers)
         if kwargs["backend"] == "process" and start_method is not None:
             kwargs["start_method"] = start_method
         return QueryService.build(
@@ -405,7 +404,7 @@ def compare_shared_graph(
     )
 
     with QueryService.build(
-        bundle.kg, bundle.space, bundle.library, backend="inline", compact=True
+        bundle.kg, bundle.space, bundle.library, backend="inline"
     ) as service:
         reference = service.search_many(queries, k=k)
 
@@ -416,7 +415,6 @@ def compare_shared_graph(
             bundle.library,
             backend="process",
             workers=workers,
-            compact=True,
             shared_graph=shared,
         ) as service:
             assert service.spec is not None

@@ -17,9 +17,10 @@ array-backed :class:`~repro.core.search_kernel.VectorizedSubQuerySearch`
    after PR 3 made assembly cheap) under both kernels.
 
 Shared by ``benchmarks/bench_astar_kernel.py`` (full-scale, pytest,
-asserts the ≥2x microbench target) and ``scripts/bench_smoke.py``
-(small-scale, CI gate): CI fails on a decision mismatch while treating
-the timing numbers as informational.
+asserts the ≥2x microbench target) and
+``tests/test_oracle_conformance.py`` (small-scale, tier-1): the tests
+fail on a decision mismatch while treating the timing numbers as
+informational.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.bench.equivalence import (
     search_stats_differ,
 )
 from repro.core.astar import build_subquery_search
-from repro.core.compact_view import CompactViewFactory
 from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.core.results import QueryResult
@@ -55,13 +55,14 @@ def _build_case_inputs(
 ) -> Tuple[SemanticGraphQueryEngine, List[Dict]]:
     """Decompose the workload once and pre-warm one view per query."""
     engine = SemanticGraphQueryEngine(
-        bundle.kg, bundle.space, bundle.library, SearchConfig(tau=tau), compact=True
+        bundle.kg, bundle.space, bundle.library, SearchConfig(tau=tau)
     )
-    factory = CompactViewFactory()
     cases = []
     for query in bundle.workload:
         decomposition = engine.decompose(query.query)
-        view = factory(bundle.kg, bundle.space, min_weight=engine.config.min_weight)
+        view = engine.view_factory(
+            bundle.kg, bundle.space, min_weight=engine.config.min_weight
+        )
         for policy in policies:
             config = SearchConfig(tau=tau, visited_policy=policy)
             # No explicit warm-up: the equivalence drains in
@@ -249,8 +250,8 @@ def d12_search_comparison(
 ) -> Dict:
     """End-to-end engine delta on one search-bound workload query.
 
-    Runs ``engine.search`` under both search kernels (compact view both
-    sides, so only the A* implementation differs), asserts result
+    Runs ``engine.search`` under both search kernels (the same compact
+    view both sides, so only the A* implementation differs), asserts result
     identity, and reports best-of-``passes`` wall times plus the
     vectorized run's search-vs-assembly split.  Small scales drop D12
     from the workload (empty truth set); the comparison then falls back
@@ -266,7 +267,6 @@ def d12_search_comparison(
             bundle.kg,
             bundle.space,
             bundle.library,
-            compact=True,
             search_kernel=kernel,
         )
         for kernel in ("reference", "vectorized")

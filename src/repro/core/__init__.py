@@ -3,7 +3,6 @@
 from repro.core.compact_view import (
     CompactSemanticGraphView,
     CompactViewFactory,
-    lazy_view_factory,
 )
 from repro.core.config import PssMode, SearchConfig, VisitedPolicy
 from repro.core.engine import SemanticGraphQueryEngine
@@ -18,7 +17,6 @@ __all__ = [
     "SemanticGraphView",
     "CompactSemanticGraphView",
     "CompactViewFactory",
-    "lazy_view_factory",
     "FinalMatch",
     "PathMatch",
     "QueryResult",

@@ -17,7 +17,7 @@ Two interchangeable kernels implement the round loop:
 - ``kernel="reference"`` — the pure-Python assembler below, a direct
   transcription of Eq. 8-11 / Theorem 3.  It re-sorts every candidate and
   recomputes every upper bound each round (O(C·S + C log C) per round),
-  which makes it the easy-to-audit conformance baseline but a hot spot on
+  which makes it the easy-to-audit test oracle but a hot spot on
   assembly-heavy queries.
 - ``kernel="vectorized"`` (the default) — the incremental numpy kernel in
   :mod:`repro.core.assembly_kernel`: interned candidate table, bounded
@@ -37,7 +37,7 @@ from repro.core.results import FinalMatch, PathMatch
 from repro.errors import SearchError
 
 #: Valid ``kernel=`` names, owned here (the dispatch point); the engine
-#: and the workload CLI import this rather than re-hardcoding the set.
+#: imports this rather than re-hardcoding the set.
 ASSEMBLY_KERNELS = ("vectorized", "reference")
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.config import PssMode, SearchConfig, VisitedPolicy
+from repro.core.config import SearchConfig, VisitedPolicy
 from repro.core.pss import estimate_pss, exact_pss_from_log, log_weight
 from repro.core.results import PathMatch, SearchStats
 from repro.core.semantic_graph import WeightedGraphView
@@ -50,10 +50,9 @@ from repro.utils.timing import Clock, Stopwatch, WallClock
 
 #: Valid ``kernel=`` names for the per-sub-query search, owned here (the
 #: dispatch point) the way ``assembly.ASSEMBLY_KERNELS`` owns the TA
-#: kernel names.  ``"auto"`` resolves per view: the vectorized kernel
-#: when the view exposes the compact CSR surface, the reference search
-#: otherwise.
-SEARCH_KERNELS = ("auto", "vectorized", "reference")
+#: kernel names.  ``"vectorized"`` is the production kernel;
+#: ``"reference"`` is the Algorithm 1 transcription kept as its oracle.
+SEARCH_KERNELS = ("vectorized", "reference")
 
 
 def build_subquery_search(
@@ -64,40 +63,29 @@ def build_subquery_search(
     subquery_index: int = 0,
     clock: Optional[Clock] = None,
     *,
-    kernel: str = "auto",
+    kernel: str = "vectorized",
 ):
     """Construct the A* search for one sub-query behind the kernel seam.
 
-    ``kernel="reference"`` always builds :class:`SubQuerySearch` (the
-    Algorithm 1 transcription below); ``"vectorized"`` builds the
-    array-backed :class:`~repro.core.search_kernel.VectorizedSubQuerySearch`
-    and raises when the view cannot support it; ``"auto"`` (the default)
-    picks the vectorized kernel exactly when the view can feed it.  Both
-    kernels are decision-identical — same matches, same pss, same
+    ``kernel="vectorized"`` (the default) builds the array-backed
+    :class:`~repro.core.search_kernel.VectorizedSubQuerySearch`, which
+    needs a compact view and raises on any other; ``"reference"`` builds
+    :class:`SubQuerySearch` (the Algorithm 1 transcription below), which
+    runs on any :class:`~repro.core.semantic_graph.WeightedGraphView`.
+    Both kernels are decision-identical — same matches, same pss, same
     emission order, same search stats — so the choice only moves cost.
     """
     if kernel not in SEARCH_KERNELS:
         raise SearchError(
             f"unknown search kernel {kernel!r} (expected one of {SEARCH_KERNELS})"
         )
-    if kernel != "reference":
-        from repro.core.search_kernel import (
-            VectorizedSubQuerySearch,
-            supports_vectorized_search,
-        )
+    if kernel == "reference":
+        return SubQuerySearch(view, subquery, matcher, config, subquery_index, clock)
+    from repro.core.search_kernel import VectorizedSubQuerySearch
 
-        if supports_vectorized_search(view):
-            return VectorizedSubQuerySearch(
-                view, subquery, matcher, config, subquery_index, clock
-            )
-        if kernel == "vectorized":
-            raise SearchError(
-                "search kernel 'vectorized' needs a compact view exposing "
-                "the CSR surface (graph / weight_row_array / "
-                f"bounds_row_array); {type(view).__name__} does not — build "
-                "the engine with compact=True or pass kernel='auto'"
-            )
-    return SubQuerySearch(view, subquery, matcher, config, subquery_index, clock)
+    return VectorizedSubQuerySearch(
+        view, subquery, matcher, config, subquery_index, clock
+    )
 
 
 @dataclass
@@ -160,10 +148,9 @@ class SubQuerySearch:
 
     Args:
         view: shared semantic-graph view — anything satisfying
-            :class:`~repro.core.semantic_graph.WeightedGraphView`; in
-            practice a :class:`~repro.core.semantic_graph.SemanticGraphView`,
-            optionally backed by the serving layer's cross-query
-            :class:`~repro.serve.cache.SemanticGraphCache`.
+            :class:`~repro.core.semantic_graph.WeightedGraphView`: the
+            engine's compact view, or the lazy
+            :class:`~repro.core.semantic_graph.SemanticGraphView` oracle.
         subquery: the path-shaped sub-query to match.
         matcher: node-match relation φ.
         config: τ, n̂ and policy knobs.

@@ -22,18 +22,21 @@ whole rows (``kind in {"weights", "bounds"}``) — one cache round-trip per
 (query predicate) instead of one per (edge) — and the serving layer's
 warm-workload win composes with the kernel's cold-query win.
 
-Equivalence with the lazy view is exact, not approximate: both serve
-weights from the same cached ``PredicateSpace`` rows, slots keep
+This is the engine's only view.  The lazy
+:class:`~repro.core.semantic_graph.SemanticGraphView` survives as its
+test oracle, and equivalence with it is exact, not approximate: both
+serve weights from the same cached ``PredicateSpace`` rows, slots keep
 ``KnowledgeGraph.incident`` order (heap tie-breaks match), and ``Edge``
 objects are shared with the source graph (identity included).  The
-conformance suite in ``tests/test_compact_view.py`` pins all of this.
+conformance suites in ``tests/test_compact_view.py`` and
+``tests/test_oracle_conformance.py`` pin all of this.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -41,17 +44,7 @@ from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import UnknownPredicateError
 from repro.kg.compact import CompactGraph
 from repro.kg.graph import Edge, KnowledgeGraph
-from repro.core.semantic_graph import (
-    RowWeightCache,
-    SemanticGraphView,
-    WeightCache,
-    WeightedGraphView,
-)
-
-# The engine's view-construction seam: (kg, space, *, min_weight, cache) ->
-# a per-query WeightedGraphView.  `lazy_view_factory` is the default;
-# `CompactViewFactory` instances satisfy it over a shared frozen kernel.
-ViewFactory = Callable[..., WeightedGraphView]
+from repro.core.semantic_graph import WeightCache
 
 # Per-(frozen graph, space) memo of the graph-predicate-id -> space-index
 # mapping: pure, cheap to rebuild, but rebuilt once per *query* without
@@ -105,13 +98,9 @@ class CompactSemanticGraphView:
         min_weight: similarities below this materialise as 0 (same policy
             as :class:`~repro.core.semantic_graph.SemanticGraphView`).
         cache: optional shared
-            :class:`~repro.core.semantic_graph.WeightCache`.  The binding
-            fingerprint is the *source* graph's, so one cache may back
-            lazy and compact views of the same graph interchangeably.
-            Caches exposing ``get_row``/``put_row`` share whole rows;
-            older caches are simply not consulted on this path (weights
-            are recomputed — cheap — rather than probed pair-by-pair,
-            which would cost more than the matvec it replaces).
+            :class:`~repro.core.semantic_graph.WeightCache` of whole
+            rows (``kind in {"weights", "bounds"}``), bound to the
+            source graph's fingerprint.
     """
 
     def __init__(
@@ -126,20 +115,14 @@ class CompactSemanticGraphView:
         self.kg = graph.kg
         self.space = space
         self.min_weight = min_weight
-        # Only row-capable caches (RowWeightCache) are consulted on this
-        # path; probing pair-by-pair would cost more than the matvec.
-        self._cache: Optional[RowWeightCache] = (
-            cache if hasattr(cache, "get_row") else None  # type: ignore[assignment]
-        )
+        self._cache = cache
         if cache is not None:
-            # Same fingerprint as the lazy view — entries are functions of
-            # the source (graph, space, min_weight), however they are laid
-            # out, so both view kinds may share one cache — including the
-            # *frozen* shape: if the append-only source graph grew past
-            # this kernel (or past the cache's binding), sharing rows
-            # would serve stale m(u) bounds; binding raises instead.  An
-            # unpickled kernel carries no kg; the kernel object itself is
-            # then the identity anchor.
+            # Rows are functions of the source (graph, space, min_weight)
+            # and of the *frozen* shape: if the append-only source graph
+            # grew past this kernel (or past the cache's binding),
+            # sharing rows would serve stale m(u) bounds; binding raises
+            # instead.  An unpickled kernel carries no kg; the kernel
+            # object itself is then the identity anchor.
             anchor = graph.kg if graph.kg is not None else graph
             cache.bind((anchor, space, min_weight, graph.num_nodes, graph.num_edges))
 
@@ -160,8 +143,7 @@ class CompactSemanticGraphView:
         # whole row, so each computed row counts |graph predicates| pairs
         # — a *materialisation* count, deliberately not the lazy view's
         # touched-pair count (vectorisation materialises eagerly; that is
-        # the point).  Rows served by the shared cache count zero, same
-        # as lazy shared-cache hits.
+        # the point).  Rows served by the shared cache count zero.
         self.edges_weighted = 0
         self.cache_hits = 0  # rows served by the shared cache
 
@@ -270,12 +252,13 @@ class CompactSemanticGraphView:
     ) -> Iterable[Tuple[Edge, int, float]]:
         """One node's weighted incidence: ``(edge, neighbour, weight)``.
 
-        Reads the kernel's per-node slot mirror — the other endpoint and
-        the interned predicate id are precomputed at freeze time — and
-        indexes the query predicate's weight row; no dict probes, no
-        ``Edge.other`` branches.  Same contract (and same yield order) as
-        the lazy view's ``weighted_incident``; zero-weight edges are
-        yielded for the caller's τ-pruning to judge.
+        The scalar surface the reference A* oracle reads (the array-backed
+        kernel reads whole rows instead).  Walks the kernel's per-node
+        slot mirror — built on first use — and indexes the query
+        predicate's weight row; no dict probes, no ``Edge.other``
+        branches.  Same contract (and same yield order) as the lazy
+        view's ``weighted_incident``; zero-weight edges are yielded for
+        the caller's τ-pruning to judge.
         """
         self._touched_nodes.add(uid)
         slots = self.graph.node_slots[uid]
@@ -358,9 +341,8 @@ class CompactSemanticGraphView:
     def touched_nodes(self) -> int:
         """Distinct nodes whose incidence or ``m(u)`` bound was consulted.
 
-        Matches the uncached lazy view exactly (it materialises a node's
-        incidence to derive its bound); a *cache-backed* lazy view counts
-        fewer, since an adjacency hit skips the incident scan.
+        Matches the lazy oracle view exactly (it materialises a node's
+        incidence to derive its bound).
         """
         return len(self._touched_nodes)
 
@@ -376,8 +358,8 @@ class CompactViewFactory:
 
     Freezes the graph on first use and re-freezes automatically if the
     append-only graph has grown since (``CompactGraph.is_stale``), so an
-    engine can keep one factory for its lifetime.  Matches the engine's
-    ``view_factory`` callable seam.
+    engine can keep one factory for its lifetime.  The engine's
+    ``view_factory``.
     """
 
     def __init__(self, graph: Optional[CompactGraph] = None):
@@ -423,14 +405,3 @@ class CompactViewFactory:
         return CompactSemanticGraphView(
             self.compact_graph(kg), space, min_weight=min_weight, cache=cache
         )
-
-
-def lazy_view_factory(
-    kg: KnowledgeGraph,
-    space: PredicateSpace,
-    *,
-    min_weight: float = 0.0,
-    cache: Optional[WeightCache] = None,
-) -> SemanticGraphView:
-    """The default factory: a fresh per-query lazy ``SG_Q`` view."""
-    return SemanticGraphView(kg, space, min_weight=min_weight, cache=cache)

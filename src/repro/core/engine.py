@@ -17,17 +17,16 @@ without guessing how many matches each sub-query must contribute.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.core.assembly import ASSEMBLY_KERNELS, MatchStream, assemble_top_k
 from repro.core.astar import SEARCH_KERNELS, SubQuerySearch, build_subquery_search
-from repro.core.compact_view import CompactViewFactory, ViewFactory, lazy_view_factory
+from repro.core.compact_view import CompactViewFactory
 from repro.core.config import SearchConfig
 from repro.core.results import QueryResult
-from repro.core.semantic_graph import SemanticGraphView, WeightCache, WeightedGraphView
+from repro.core.semantic_graph import WeightCache, WeightedGraphView
 from repro.core.time_bounded import TimeBoundedCoordinator
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import SearchError
@@ -74,16 +73,15 @@ class EngineSpec:
     The construction half of the engine split: everything
     :func:`build_engine` needs to bootstrap a
     :class:`SemanticGraphQueryEngine` in another process — the graph, the
-    predicate space, the transformation library, the search config, and
-    the kernel/view flags — with **no** live runtime state (no weight
-    cache, no worker pool, no view factory closures).  A
+    predicate space, the transformation library and the search config —
+    with **no** live runtime state (no weight cache, no worker pool).  A
     ``ProcessPoolExecutor`` worker unpickles one spec in its initializer,
     builds its engine once, and serves every subsequent request from it.
 
     ``compact_graph`` optionally carries the pre-frozen CSR kernel so a
     worker does not redo the O(V+E) freeze; on unpickle the snapshot's
     source-graph reference is dropped (``CompactGraph.__setstate__``) and
-    the view factory keeps it as long as its counts still match ``kg``.
+    the engine keeps it as long as its counts still match ``kg``.
 
     ``graph_handle`` is the zero-copy alternative: a
     :class:`~repro.kg.compact.CompactGraphHandle` naming a shared-memory
@@ -113,28 +111,11 @@ class EngineSpec:
     space: PredicateSpace
     library: Optional[TransformationLibrary] = None
     config: Optional[SearchConfig] = None
-    compact: bool = False
-    assembly_kernel: str = "vectorized"
-    search_kernel: str = "auto"
     compact_graph: Optional[CompactGraph] = None
     graph_handle: Optional[CompactGraphHandle] = None
     fault_plan: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.assembly_kernel not in ASSEMBLY_KERNELS:
-            raise SearchError(
-                f"unknown assembly kernel {self.assembly_kernel!r} "
-                f"(expected one of {ASSEMBLY_KERNELS})"
-            )
-        if self.search_kernel not in SEARCH_KERNELS:
-            raise SearchError(
-                f"unknown search kernel {self.search_kernel!r} "
-                f"(expected one of {SEARCH_KERNELS})"
-            )
-        if self.compact_graph is not None and not self.compact:
-            raise SearchError("compact_graph requires compact=True")
-        if self.graph_handle is not None and not self.compact:
-            raise SearchError("graph_handle requires compact=True")
         if self.graph_handle is not None and self.compact_graph is not None:
             raise SearchError(
                 "pass either compact_graph (arrays by value) or "
@@ -144,11 +125,6 @@ class EngineSpec:
             raise SearchError(
                 "a spec without kg needs a graph_handle to rebuild the "
                 "graph surface from"
-            )
-        if self.search_kernel == "vectorized" and not self.compact:
-            raise SearchError(
-                "search_kernel='vectorized' needs compact views; set "
-                "compact=True on the spec"
             )
 
     def build(self, *, weight_cache: Optional[WeightCache] = None
@@ -164,58 +140,40 @@ def build_engine(
 
     ``weight_cache`` is deliberately *not* part of the spec — it is
     per-process runtime state; a multiprocess worker passes its own
-    private cache here.  When the spec carries a pre-frozen
-    ``compact_graph`` the engine is wired through a
-    :class:`~repro.core.compact_view.CompactViewFactory` holding that
-    snapshot instead of re-freezing.  When it carries a ``graph_handle``
-    the kernel is *attached* from shared memory (zero-copy, O(metadata))
-    and — absent an explicit ``kg`` — the graph API is served by a
+    private cache here.  A spec's pre-frozen ``compact_graph`` is used
+    instead of re-freezing.  A ``graph_handle`` is *attached* from shared
+    memory (zero-copy, O(metadata)) and — absent an explicit ``kg`` —
+    the graph API is served by a
     :class:`~repro.kg.compact.CompactKnowledgeGraph` facade over the
     shared columns.
     """
+    graph = spec.compact_graph
+    kg = spec.kg
     if spec.graph_handle is not None:
-        attached = CompactGraph.from_handle(spec.graph_handle)
-        kg = spec.kg if spec.kg is not None else CompactKnowledgeGraph(attached)
-        engine = SemanticGraphQueryEngine(
-            kg,
-            spec.space,
-            spec.library,
-            spec.config,
-            weight_cache=weight_cache,
-            view_factory=CompactViewFactory(attached),
-            assembly_kernel=spec.assembly_kernel,
-            search_kernel=spec.search_kernel,
-        )
-        engine._compact = True
-    elif spec.compact and spec.compact_graph is not None:
-        engine = SemanticGraphQueryEngine(
-            spec.kg,
-            spec.space,
-            spec.library,
-            spec.config,
-            weight_cache=weight_cache,
-            view_factory=CompactViewFactory(spec.compact_graph),
-            assembly_kernel=spec.assembly_kernel,
-            search_kernel=spec.search_kernel,
-        )
-        engine._compact = True
-    else:
-        engine = SemanticGraphQueryEngine(
-            spec.kg,
-            spec.space,
-            spec.library,
-            spec.config,
-            weight_cache=weight_cache,
-            compact=spec.compact,
-            assembly_kernel=spec.assembly_kernel,
-            search_kernel=spec.search_kernel,
-        )
+        graph = CompactGraph.from_handle(spec.graph_handle)
+        if kg is None:
+            kg = CompactKnowledgeGraph(graph)
+    engine = SemanticGraphQueryEngine(
+        kg,
+        spec.space,
+        spec.library,
+        spec.config,
+        weight_cache=weight_cache,
+        _graph=graph,
+    )
     engine._spec = spec
     return engine
 
 
 class SemanticGraphQueryEngine:
     """Top-k semantic similarity search over one knowledge graph.
+
+    Every query runs one pipeline: a per-query compact ``SG_Q`` view over
+    the graph's frozen CSR kernel
+    (:class:`~repro.core.compact_view.CompactSemanticGraphView`), the
+    array-backed A* per sub-query
+    (:class:`~repro.core.search_kernel.VectorizedSubQuerySearch`) and the
+    incremental TA assembly kernel (:mod:`repro.core.assembly_kernel`).
 
     Args:
         kg: the knowledge graph to query.
@@ -226,31 +184,20 @@ class SemanticGraphQueryEngine:
         weight_cache: optional cross-query
             :class:`~repro.core.semantic_graph.WeightCache` (e.g. the
             serving layer's ``SemanticGraphCache``).  When set, every
-            query's view is backed by it, so repeated queries stop
-            re-weighting the same knowledge-graph edges; when ``None``
-            each query builds a private view, the paper's one-shot
-            behaviour.
-        view_factory: the view-construction seam — a callable
-            ``(kg, space, *, min_weight, cache) -> WeightedGraphView``.
-            Default builds the paper's lazy :class:`SemanticGraphView`.
-        compact: convenience flag: build views over the frozen CSR kernel
-            (:class:`~repro.core.compact_view.CompactViewFactory`), which
-            vectorises weight materialisation and ``m(u)`` bounds.
-            Results are identical to the lazy view; only cost changes.
-            Mutually exclusive with ``view_factory``.
-        assembly_kernel: TA assembly implementation — ``"vectorized"``
-            (default; the incremental numpy kernel,
-            :mod:`repro.core.assembly_kernel`) or ``"reference"`` (the
-            pure-Python Eq. 8-11 transcription).  Results are identical;
-            only assembly cost changes.
-        search_kernel: per-sub-query A* implementation — ``"auto"``
-            (default: the array-backed
-            :mod:`repro.core.search_kernel` whenever the query view
-            exposes the compact CSR surface, the reference search
-            otherwise), ``"vectorized"`` (force the array kernel;
-            raises on views that cannot feed it) or ``"reference"``
-            (the Algorithm 1 transcription, :mod:`repro.core.astar`).
-            Results are identical; only search cost changes.
+            query's view shares weight and ``m(u)`` rows through it, so
+            repeated queries stop re-deriving them; when ``None`` each
+            query builds a private view, the paper's one-shot behaviour.
+        assembly_kernel: ``"vectorized"`` (default) or ``"reference"``,
+            the pure-Python Eq. 8-11 transcription kept as a test oracle.
+        search_kernel: ``"vectorized"`` (default) or ``"reference"``, the
+            Algorithm 1 transcription (:mod:`repro.core.astar`) kept as a
+            test oracle.  Both oracles give identical results; only cost
+            changes.
+
+    ``view_factory`` is the per-query view seam, an instance attribute
+    called as ``(kg, space, *, min_weight, cache)``; the conformance
+    suites swap in the lazy
+    :class:`~repro.core.semantic_graph.SemanticGraphView` oracle there.
     """
 
     def __init__(
@@ -261,13 +208,10 @@ class SemanticGraphQueryEngine:
         config: Optional[SearchConfig] = None,
         *,
         weight_cache: Optional[WeightCache] = None,
-        view_factory: Optional[ViewFactory] = None,
-        compact: bool = False,
         assembly_kernel: str = "vectorized",
-        search_kernel: str = "auto",
+        search_kernel: str = "vectorized",
+        _graph: Optional[CompactGraph] = None,
     ):
-        if compact and view_factory is not None:
-            raise SearchError("pass either compact=True or view_factory, not both")
         if assembly_kernel not in ASSEMBLY_KERNELS:
             raise SearchError(
                 f"unknown assembly kernel {assembly_kernel!r} "
@@ -278,16 +222,6 @@ class SemanticGraphQueryEngine:
                 f"unknown search kernel {search_kernel!r} "
                 f"(expected one of {SEARCH_KERNELS})"
             )
-        if search_kernel == "vectorized" and not compact and view_factory is None:
-            # Statically knowable misconfiguration: the default lazy view
-            # can never feed the vectorized kernel, so fail at
-            # construction rather than on every query.  A custom
-            # view_factory is checked per query (it may produce compact
-            # views).
-            raise SearchError(
-                "search_kernel='vectorized' needs compact views; pass "
-                "compact=True (or a view_factory producing compact views)"
-            )
         self.assembly_kernel = assembly_kernel
         self.search_kernel = search_kernel
         self.kg = kg
@@ -296,65 +230,37 @@ class SemanticGraphQueryEngine:
         self.config = config if config is not None else SearchConfig()
         self.matcher = NodeMatcher(kg, library)
         self.weight_cache = weight_cache
-        self._compact = compact
-        self._custom_view_factory = view_factory is not None
         self._spec: Optional[EngineSpec] = None
-        if compact:
-            # Freeze eagerly: construction is the predictable place to
-            # pay the O(V+E) snapshot, not the first query's latency.
-            self.view_factory: ViewFactory = CompactViewFactory(
-                CompactGraph.freeze(kg)
-            )
-        else:
-            self.view_factory = view_factory or lazy_view_factory
+        # Freeze eagerly: construction is the predictable place to pay
+        # the O(V+E) snapshot, not the first query's latency.  _graph is
+        # build_engine's pre-frozen or shared-memory kernel, kept as long
+        # as its counts still match kg.
+        self.view_factory = CompactViewFactory(_graph)
+        self.view_factory.compact_graph(kg)
 
     def to_spec(self) -> EngineSpec:
         """The :class:`EngineSpec` this engine could be rebuilt from.
 
         Engines built by :func:`build_engine` return their originating
-        spec; directly constructed engines derive one (including the
-        already-frozen compact kernel, so workers skip the re-freeze).
-        An engine wired through a *custom* ``view_factory`` has no
-        picklable description and raises.
+        spec; directly constructed engines derive one, including the
+        already-frozen kernel, so workers skip the re-freeze.  An engine
+        whose ``view_factory`` was replaced (the lazy oracle) has no spec
+        and raises, rather than ship the production pipeline in its name.
         """
-        if self._spec is not None:
-            spec = self._spec
-            if (
-                spec.compact
-                and spec.compact_graph is None
-                and spec.graph_handle is None
-                and isinstance(self.view_factory, CompactViewFactory)
-                and self.view_factory.frozen_graph is not None
-            ):
-                # The originating spec predates the freeze; graft the
-                # kernel on so shipped workers skip redoing it.
-                spec = dataclasses.replace(
-                    spec, compact_graph=self.view_factory.frozen_graph
-                )
-                self._spec = spec
-            return spec
-        if self._custom_view_factory:
+        if not isinstance(self.view_factory, CompactViewFactory):
             raise SearchError(
-                "an engine built on a custom view_factory cannot be "
-                "described by an EngineSpec (the factory may close over "
-                "unpicklable state); construct via EngineSpec/build_engine "
-                "or use compact=True instead"
+                "an engine with a replaced view_factory cannot be described "
+                "by an EngineSpec"
             )
-        compact_graph = None
-        if self._compact and isinstance(self.view_factory, CompactViewFactory):
-            compact_graph = self.view_factory.frozen_graph
-        spec = EngineSpec(
-            kg=self.kg,
-            space=self.space,
-            library=self.library,
-            config=self.config,
-            compact=self._compact,
-            assembly_kernel=self.assembly_kernel,
-            search_kernel=self.search_kernel,
-            compact_graph=compact_graph,
-        )
-        self._spec = spec
-        return spec
+        if self._spec is None:
+            self._spec = EngineSpec(
+                kg=self.kg,
+                space=self.space,
+                library=self.library,
+                config=self.config,
+                compact_graph=self.view_factory.frozen_graph,
+            )
+        return self._spec
 
     def _make_view(self) -> WeightedGraphView:
         """A per-query ``SG_Q`` view, shared-cache-backed when configured."""
@@ -445,11 +351,8 @@ class SemanticGraphQueryEngine:
             time.perf_counter() - assembly_started - pull_timer.seconds, 0.0
         )
         for search in searches:
-            # getattr: the stats attributes are view extras, not part of
-            # the WeightedGraphView protocol a custom view_factory must
-            # satisfy — a minimal view just reports zeros.
-            search.stats.nodes_touched = getattr(view, "touched_nodes", 0)
-            search.stats.edges_weighted = getattr(view, "edges_weighted", 0)
+            search.stats.nodes_touched = view.touched_nodes
+            search.stats.edges_weighted = view.edges_weighted
         return QueryResult(
             matches=assembly.matches,
             elapsed_seconds=watch.elapsed(),
@@ -503,11 +406,8 @@ class SemanticGraphQueryEngine:
         assembly = assemble_top_k(streams, k, kernel=self.assembly_kernel)
         assembly_seconds = time.perf_counter() - assembly_started
         for search in searches:
-            # getattr: the stats attributes are view extras, not part of
-            # the WeightedGraphView protocol a custom view_factory must
-            # satisfy — a minimal view just reports zeros.
-            search.stats.nodes_touched = getattr(view, "touched_nodes", 0)
-            search.stats.edges_weighted = getattr(view, "edges_weighted", 0)
+            search.stats.nodes_touched = view.touched_nodes
+            search.stats.edges_weighted = view.edges_weighted
         return QueryResult(
             matches=assembly.matches,
             elapsed_seconds=watch.elapsed(),

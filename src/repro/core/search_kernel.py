@@ -47,8 +47,8 @@ amortised over *distinct* weights (a weight or ``m(u)`` row draws from
 at most one value per graph predicate), so the scalar log cost stays
 out of the hot loop.  ``tests/test_search_kernel.py`` pins matches,
 pss, emission order and every search counter against the reference
-across randomized graphs, policies and τ sweeps;
-``repro.bench.searchbench`` re-proves it in CI.
+across randomized graphs, policies and τ sweeps, and
+``tests/test_oracle_conformance.py`` re-proves it on the workload.
 
 The public surface mirrors :class:`SubQuerySearch` exactly —
 ``next_match`` / ``run`` / ``step(harvest=)`` / ``exhausted`` /
@@ -125,14 +125,14 @@ def _exact_log_array(values: np.ndarray) -> np.ndarray:
 class _SegmentTable:
     """Per-segment expansion tables (one fancy-index, reused forever).
 
-    ``pos`` / ``pos_l`` / ``pos_count`` / ``w_l`` / ``lw_l`` are
-    slot-indexed (per arriving edge); ``phi_l`` / ``m_*`` / ``logm_*``
-    are node-indexed (per arrival endpoint) — same per-arrival read
-    count, num_nodes-sized mirrors.  ``pos`` stays an array for the
-    hub-row τ-gather; everything the scalar admit loop reads is a
-    plain-list mirror.  ``m_adv_l`` / ``logm_adv_l`` are ``None`` on the
-    last segment, where an advance is a goal and gets an exact pss
-    instead of an estimate.
+    ``pos_l`` / ``w_l`` / ``lw_l`` are indexed by interned graph
+    predicate id (one entry per graph predicate; the admit loop reads
+    them through the graph's ``slot_predicate`` column); ``pos`` is the
+    slot-indexed τ-positive mask for the hub-row gather; ``pos_count``
+    / ``phi_l`` / ``m_*`` / ``logm_*`` are node-indexed (per arrival
+    endpoint).  Everything the scalar admit loop reads is a plain list.
+    ``m_adv_l`` / ``logm_adv_l`` are ``None`` on the last segment, where
+    an advance is a goal and gets an exact pss instead of an estimate.
     """
 
     __slots__ = (
@@ -218,11 +218,12 @@ class VectorizedSubQuerySearch:
             for label in subquery.node_labels[1:]
         ]
 
-        # CSR scalars for the hot loop (python ints, no np boxing),
-        # memoized on the frozen graph — pure mirrors, shared by every
-        # search over it.
-        self._indptr_l: List[int] = graph.indptr_list()
-        self._nbr_l: List[int] = graph.slot_neighbor_list()
+        # CSR columns for the hot loop: memoryviews index straight into
+        # the arrays and return python ints (no np-scalar boxing) as fast
+        # as a list would, without a resident list copy per graph.
+        self._indptr_l = memoryview(graph.indptr)
+        self._nbr_l = memoryview(graph.slot_neighbor)
+        self._pred_l = memoryview(graph.slot_predicate)
         self._note = getattr(view, "note_touched", None)
 
         # Lazy per-segment tables and segment-max m(u) columns
@@ -300,19 +301,17 @@ class VectorizedSubQuerySearch:
         if table is not None:
             return table
         graph = self.graph
-        slot_predicate = graph.slot_predicate
         row = self.view.weight_row_array(self._predicates[segment])
-        slot_w = row[slot_predicate]
-        pos = slot_w > 0.0
+        pos_row = row > 0.0
+        pos = pos_row[graph.slot_predicate]
         counts = np.zeros(graph.num_nodes, dtype=np.int64)
         starts = graph.indptr[:-1]
         nonempty = starts < graph.indptr[1:]
         if pos.size:
             counts[nonempty] = np.add.reduceat(pos, starts[nonempty])
-        log_row = _exact_log_array(row)
-        # Weight columns are slot-indexed (per arriving edge); the φ and
-        # m(u) columns are node-indexed — same per-arrival read count,
-        # num_nodes-sized mirrors instead of num_slots-sized ones.
+        # Weight columns stay per graph predicate (tens of entries, read
+        # through slot_predicate); the φ and m(u) columns are
+        # node-indexed.  No num_slots-sized list is ever built.
         _m, _logm, m_cont_l, logm_cont_l = self._m_any(segment)
         if segment + 1 < self._num_segments:
             _m, _logm, m_adv_l, logm_adv_l = self._m_any(segment + 1)
@@ -320,10 +319,10 @@ class VectorizedSubQuerySearch:
             m_adv_l = logm_adv_l = None
         table = _SegmentTable(
             pos=pos,
-            pos_l=pos.tolist(),
+            pos_l=pos_row.tolist(),
             pos_count=counts.tolist(),
-            w_l=slot_w.tolist(),
-            lw_l=log_row[slot_predicate].tolist(),
+            w_l=row.tolist(),
+            lw_l=_exact_log_array(row).tolist(),
             phi_l=self._phi[segment].tolist(),
             m_cont_l=m_cont_l,
             logm_cont_l=logm_cont_l,
@@ -617,6 +616,7 @@ class VectorizedSubQuerySearch:
         advance_is_goal = segment1 == self._num_segments
         estimating = continuing or not advance_is_goal
         nbr_l = self._nbr_l
+        pred_l = self._pred_l
         pos_l = table.pos_l
         w_l = table.w_l
         lw_l = table.lw_l
@@ -662,13 +662,14 @@ class VectorizedSubQuerySearch:
         pool_n = len(self._uid_c)
         touched: List[int] = [] if estimating else None
         for slot in candidates:
-            if not pos_l[slot]:
+            pid = pred_l[slot]
+            if not pos_l[pid]:
                 continue  # weight <= 0 (already counted as τ prunes)
             neighbor = nbr_l[slot]
             if neighbor in anc:
                 continue  # simple paths only
-            lp = log_product + lw_l[slot]
-            ws = weight_sum + w_l[slot]
+            lp = log_product + lw_l[pid]
+            ws = weight_sum + w_l[pid]
             if phi_l[neighbor]:
                 if advance_is_goal:
                     priority = (

@@ -12,20 +12,22 @@ Weights are Eq. 5 cosines **clamped to [0, 1]**: the pss machinery
 negative cosine means "semantically opposite", which the search should
 treat as unrelated (weight 0 ⇒ pruned by any τ > 0).
 
-**Serving-layer indirection.**  Weights depend only on (query predicate,
-graph predicate) and ``m(u)`` (Lemma 1) only on (node, query predicate) —
-for a fixed graph, space and ``min_weight`` neither depends on the query
-*instance*.  A view can therefore be backed by a persistent cross-query
-:class:`WeightCache` (see :class:`repro.serve.cache.SemanticGraphCache`):
-per-query lookups land in a local L1 dict first, fall through to the
-shared cache, and only compute (and publish) on a shared miss.  Without a
-backing cache the view behaves exactly as before — a private per-query
-``SG_Q``.
+**Role.**  The engine runs every query on the compact CSR view
+(:class:`~repro.core.compact_view.CompactSemanticGraphView`).  This lazy
+view is kept as its test oracle: a direct transcription of the paper's
+on-demand construction, with no shared cache, that the conformance suites
+compare the production path against.
+
+Weights depend only on (query predicate, graph predicate) and ``m(u)``
+(Lemma 1) only on (node, query predicate), so for a fixed graph, space and
+``min_weight`` neither depends on the query instance: the compact view
+shares them across queries as whole rows through a :class:`WeightCache`
+(see :class:`repro.serve.cache.SemanticGraphCache`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import Dict, Iterable, Optional, Protocol, Set, Tuple
 
 from repro.embedding.predicate_space import PredicateSpace
 from repro.errors import UnknownPredicateError
@@ -33,12 +35,17 @@ from repro.kg.graph import Edge, KnowledgeGraph
 
 
 class WeightCache(Protocol):
-    """Cross-query store of semantic-graph weights.
+    """Cross-query store of semantic-graph *rows*.
 
-    The cache invariant: every entry is a pure function of the (graph,
-    space, ``min_weight``) triple the cache was bound to — so entries may
-    be shared by any number of concurrent per-query views and evicted at
-    any time without affecting correctness (a miss just recomputes).
+    A row is an opaque value covering one query predicate against the
+    entire bound graph — the vector of clamped weights per interned graph
+    predicate id (``kind="weights"``) or of ``m(u)`` bounds per node
+    (``kind="bounds"``).  The cache invariant: every entry is a pure
+    function of the (graph, space, ``min_weight``) combination the cache
+    was bound to — so entries may be shared by any number of concurrent
+    per-query views and evicted at any time without affecting
+    correctness (a miss just recomputes).  Rows are immutable by
+    contract.
     """
 
     def bind(self, fingerprint: Tuple) -> None:
@@ -50,32 +57,6 @@ class WeightCache(Protocol):
         """
         ...
 
-    def get_weight(self, query_predicate: str, graph_predicate: str) -> Optional[float]:
-        ...
-
-    def put_weight(self, query_predicate: str, graph_predicate: str, weight: float) -> None:
-        ...
-
-    def get_adjacent(self, uid: int, query_predicate: str) -> Optional[float]:
-        ...
-
-    def put_adjacent(self, uid: int, query_predicate: str, weight: float) -> None:
-        ...
-
-
-class RowWeightCache(WeightCache, Protocol):
-    """A :class:`WeightCache` that can also share whole-graph *rows*.
-
-    A "row" is an opaque value covering one query predicate against the
-    entire bound graph — e.g. the vector of clamped weights per interned
-    graph-predicate id, or the vector of ``m(u)`` bounds per node.  Rows
-    are the compact kernel's unit of sharing; they are immutable by
-    contract and obey the same purity/evictability invariants as pair
-    entries.  Row support is *optional* for cache implementations:
-    compact views probe for it at runtime and simply skip the shared
-    cache when absent (``SemanticGraphCache`` implements it).
-    """
-
     def get_row(self, kind: str, query_predicate: str) -> Optional[object]:
         ...
 
@@ -84,11 +65,11 @@ class RowWeightCache(WeightCache, Protocol):
 
 
 class WeightedGraphView(Protocol):
-    """What the A* search needs from a semantic-graph view.
+    """What the reference A* search needs from a semantic-graph view.
 
-    Kept minimal so alternative backends can stand in for
-    :class:`SemanticGraphView` — the numpy-backed
-    :class:`~repro.core.compact_view.CompactSemanticGraphView`.
+    Both the production
+    :class:`~repro.core.compact_view.CompactSemanticGraphView` and the
+    lazy :class:`SemanticGraphView` oracle satisfy it.
     """
 
     def weighted_incident(
@@ -103,16 +84,15 @@ class WeightedGraphView(Protocol):
 class SemanticGraphView:
     """Lazy weighted view of a knowledge graph for one query's predicates.
 
-    One view is shared by all sub-query searches of a query: weights depend
-    only on (query predicate, graph predicate), so the cache is global to
-    the query, exactly like the paper's single ``SG_Q``.
+    The test oracle for the compact view.  One view is shared by all
+    sub-query searches of a query: weights depend only on (query
+    predicate, graph predicate), so the memo is global to the query,
+    exactly like the paper's single ``SG_Q``.
 
     Args:
         kg: the knowledge graph being viewed.
         space: predicate semantic space providing Eq. 5 similarities.
         min_weight: similarities below this materialise as 0.
-        cache: optional shared :class:`WeightCache`; when given, weights
-            and ``m(u)`` values survive this view and seed future queries.
     """
 
     def __init__(
@@ -121,21 +101,10 @@ class SemanticGraphView:
         space: PredicateSpace,
         *,
         min_weight: float = 0.0,
-        cache: Optional[WeightCache] = None,
     ):
         self.kg = kg
         self.space = space
         self.min_weight = min_weight
-        self._cache = cache
-        if cache is not None:
-            # The fingerprint holds the objects themselves (not id()s):
-            # the cache keeps them alive, so identity can never be
-            # recycled onto a different graph/space.  It also pins the
-            # graph's shape: the store is append-only, so a changed
-            # entity/edge count is the one possible mutation — and it
-            # invalidates cached m(u) bounds (and compact rows), so a
-            # grown graph must get a fresh cache, loudly.
-            cache.bind((kg, space, min_weight, kg.num_entities, kg.num_edges))
         # L1, per query: (query predicate, graph predicate) -> clamped weight
         self._weight_cache: Dict[Tuple[str, str], float] = {}
         # L1, per query: (uid, query predicate) -> max adjacent weight
@@ -143,7 +112,6 @@ class SemanticGraphView:
         self._max_adjacent_cache: Dict[Tuple[int, str], float] = {}
         self._touched_nodes: Set[int] = set()
         self.edges_weighted = 0  # similarities actually computed by this view
-        self.cache_hits = 0  # lookups served by the shared cache
 
     # ------------------------------------------------------------------
     def weight(self, query_predicate: str, graph_predicate: str) -> float:
@@ -157,12 +125,6 @@ class SemanticGraphView:
         cached = self._weight_cache.get(key)
         if cached is not None:
             return cached
-        if self._cache is not None:
-            shared = self._cache.get_weight(query_predicate, graph_predicate)
-            if shared is not None:
-                self._weight_cache[key] = shared
-                self.cache_hits += 1
-                return shared
         try:
             raw = self.space.similarity(query_predicate, graph_predicate)
         except UnknownPredicateError:
@@ -172,8 +134,6 @@ class SemanticGraphView:
             clamped = 0.0
         self._weight_cache[key] = clamped
         self.edges_weighted += 1
-        if self._cache is not None:
-            self._cache.put_weight(query_predicate, graph_predicate, clamped)
         return clamped
 
     def weighted_incident(
@@ -197,27 +157,17 @@ class SemanticGraphView:
 
         The value upper-bounds the weight of the first unexplored edge of
         any continuation through ``uid``, hence (weights ≤ 1) the whole
-        unexplored weight product.  A shared-cache hit skips the incident
-        scan entirely, which is the serving layer's dominant saving on
-        repeated workloads.
+        unexplored weight product.
         """
         key = (uid, query_predicate)
         cached = self._max_adjacent_cache.get(key)
         if cached is not None:
             return cached
-        if self._cache is not None:
-            shared = self._cache.get_adjacent(uid, query_predicate)
-            if shared is not None:
-                self._max_adjacent_cache[key] = shared
-                self.cache_hits += 1
-                return shared
         best = 0.0
         for _edge, _neighbor, weight in self.weighted_incident(uid, query_predicate):
             if weight > best:
                 best = weight
         self._max_adjacent_cache[key] = best
-        if self._cache is not None:
-            self._cache.put_adjacent(uid, query_predicate, best)
         return best
 
     def max_adjacent_weight_any(self, uid: int, query_predicates: Iterable[str]) -> float:

@@ -118,8 +118,6 @@ class CompactGraph:
         "_node_slots",
         "_edges",
         "_names",
-        "_indptr_list",
-        "_slot_neighbor_list",
         "_shm_block",
     )
 
@@ -133,8 +131,6 @@ class CompactGraph:
         "_node_slots",
         "_edges",
         "_names",
-        "_indptr_list",
-        "_slot_neighbor_list",
         "_shm_block",
     )
 
@@ -178,58 +174,49 @@ class CompactGraph:
         name_blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
 
         # Edge table: one deterministic id per directed edge, in per-source
-        # insertion order.  The Edge objects are shared with kg, not copied.
+        # insertion order, so a node's out-edges hold consecutive ids.  The
+        # Edge objects are shared with kg, not copied; in-edges find their
+        # id by object identity (an int-keyed dict, no dataclass hashing).
         edges: List[Edge] = []
-        edge_id: Dict[Edge, int] = {}
+        out_counts: List[int] = []
         for uid in range(num_nodes):
-            for edge, _target in kg.out_incident(uid):
-                edge_id[edge] = len(edges)
-                edges.append(edge)
+            outgoing = kg.out_edges(uid)
+            out_counts.append(len(outgoing))
+            edges.extend(outgoing)
         num_edges = len(edges)
-        edge_source = np.fromiter(
-            (edge.source for edge in edges), dtype=np.int64, count=num_edges
-        )
-        edge_target = np.fromiter(
-            (edge.target for edge in edges), dtype=np.int64, count=num_edges
-        )
-        edge_predicate = np.fromiter(
-            (predicate_index[edge.predicate] for edge in edges),
-            dtype=np.int32,
-            count=num_edges,
+        edge_id = {id(edge): eid for eid, edge in enumerate(edges)}
+        edge_source = np.array([edge.source for edge in edges], dtype=np.int64)
+        edge_target = np.array([edge.target for edge in edges], dtype=np.int64)
+        edge_predicate = np.array(
+            [predicate_index[edge.predicate] for edge in edges], dtype=np.int32
         )
 
         # Undirected-incidence CSR, slot order == KnowledgeGraph.incident
-        # order (load-bearing: it keeps compact and lazy searches
-        # expanding in the same sequence).
-        num_slots = 2 * num_edges
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        slot_neighbor = np.empty(num_slots, dtype=np.int64)
-        slot_predicate = np.empty(num_slots, dtype=np.int32)
-        slot_edge = np.empty(num_slots, dtype=np.int64)
-        slot_forward = np.empty(num_slots, dtype=bool)
-        # Python mirror of the CSR for the scalar hot loop: per node, a
-        # tuple of (edge, other endpoint, predicate id) triples.  The A*
-        # expansion iterates this directly — no per-call array slicing,
-        # no np-scalar boxing — while vectorized ops (segment-max bounds)
-        # read the flat arrays.
-        node_slots: List[Tuple[Tuple[Edge, int, int], ...]] = []
-        cursor = 0
-        for uid in range(num_nodes):
-            triples: List[Tuple[Edge, int, int]] = []
-            for edge, neighbor in kg.incident_list(uid):
-                eid = edge_id[edge]
-                pid = int(edge_predicate[eid])
-                slot_neighbor[cursor] = neighbor
-                slot_edge[cursor] = eid
-                slot_predicate[cursor] = pid
-                slot_forward[cursor] = edge.source == uid
-                triples.append((edge, neighbor, pid))
-                cursor += 1
-            node_slots.append(tuple(triples))
-            indptr[uid + 1] = cursor
-        if cursor != num_slots:  # pragma: no cover - append-only invariant
+        # order (out-edges, then in-edges; load-bearing: heap tie-breaks
+        # depend on it).  The slot columns are built as Python lists and
+        # converted once; the other endpoint and the predicate follow from
+        # the edge id and the travel direction.
+        degree = [0] * (num_nodes + 1)
+        slot_edge_list: List[int] = []
+        forward_list: List[bool] = []
+        out_start = 0
+        for uid, out_count in enumerate(out_counts):
+            incoming = kg.in_edges(uid)
+            slot_edge_list.extend(range(out_start, out_start + out_count))
+            slot_edge_list.extend([edge_id[id(edge)] for edge in incoming])
+            forward_list.extend([True] * out_count + [False] * len(incoming))
+            degree[uid + 1] = out_count + len(incoming)
+            out_start += out_count
+        indptr = np.cumsum(degree, dtype=np.int64)
+        slot_edge = np.array(slot_edge_list, dtype=np.int64)
+        slot_forward = np.array(forward_list, dtype=bool)
+        slot_neighbor = np.where(
+            slot_forward, edge_target[slot_edge], edge_source[slot_edge]
+        )
+        slot_predicate = edge_predicate[slot_edge]
+        if slot_edge.size != 2 * num_edges:  # pragma: no cover - append-only
             raise GraphError(
-                f"incidence slots ({cursor}) disagree with edge count "
+                f"incidence slots ({slot_edge.size}) disagree with edge count "
                 f"({num_edges}); graph mutated during freeze?"
             )
 
@@ -253,7 +240,6 @@ class CompactGraph:
             slot_forward=slot_forward,
             name_blob=name_blob,
             name_offsets=name_offsets,
-            _node_slots=node_slots,
             _edges=edges,
             _names=names,
         )
@@ -340,11 +326,10 @@ class CompactGraph:
     def node_slots(self) -> List[Tuple[Tuple[Edge, int, int], ...]]:
         """Per-node ``(edge, neighbor, predicate id)`` triples.
 
-        The scalar hot loop's mirror of the CSR.  Built eagerly by
-        :meth:`freeze`, lazily (once, O(V + E)) on unpickled or attached
-        kernels — the vectorized search kernel never touches it, so an
-        attached worker that only runs vectorized searches never pays
-        for it.
+        The object mirror of the CSR that the scalar reference search and
+        the :class:`CompactKnowledgeGraph` facade iterate.  Built lazily
+        (once, O(V + E)) on first use: the vectorized search kernel reads
+        the flat arrays only, so the production path never pays for it.
         """
         if self._node_slots is None:
             edges = self._edge_table()
@@ -402,25 +387,6 @@ class CompactGraph:
     def degree(self, uid: int) -> int:
         """Undirected degree of ``uid`` (CSR row length)."""
         return int(self.indptr[uid + 1] - self.indptr[uid])
-
-    def indptr_list(self) -> List[int]:
-        """Python-int mirror of ``indptr``, built once per kernel.
-
-        The search kernel reads two ``indptr`` scalars per pop; the
-        memoized mirror keeps those reads unboxed without a per-search
-        ``tolist`` over the whole array.  Do not mutate.
-        """
-        if self._indptr_list is None:
-            object.__setattr__(self, "_indptr_list", self.indptr.tolist())
-        return self._indptr_list
-
-    def slot_neighbor_list(self) -> List[int]:
-        """Python-int mirror of ``slot_neighbor`` (see :meth:`indptr_list`)."""
-        if self._slot_neighbor_list is None:
-            object.__setattr__(
-                self, "_slot_neighbor_list", self.slot_neighbor.tolist()
-            )
-        return self._slot_neighbor_list
 
     def uid_mask(self, uids) -> np.ndarray:
         """Boolean node mask from an iterable of entity ids.

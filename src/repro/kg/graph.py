@@ -17,9 +17,8 @@ consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import GraphError, UnknownEntityError
 
@@ -82,19 +81,20 @@ class KnowledgeGraph:
     def __init__(self, name: str = "kg"):
         self.name = name
         self._entities: List[Entity] = []
-        # The adjacency indexes: (edge, other endpoint) pairs precomputed
-        # at add_edge time, split by direction so undirected iteration
-        # keeps the historical out-edges-then-in-edges order (search
-        # tie-breaks depend on it).  incident() — the search layer's
-        # hottest graph call — is then a plain chained walk; the
-        # direction-specific edge lists are derived on demand (cold
-        # paths only), so each edge is indexed exactly twice.
-        self._incident_out: Dict[int, List[Tuple[Edge, int]]] = {}
-        self._incident_in: Dict[int, List[Tuple[Edge, int]]] = {}
+        # The adjacency indexes: per node, the Edge objects leaving it and
+        # entering it, in insertion order.  Undirected iteration walks
+        # out-edges then in-edges (the historical order; search
+        # tie-breaks depend on it) and pairs each with its other
+        # endpoint on the fly.  Each edge is referenced exactly twice and
+        # no per-edge tuple is stored: the search runs on the frozen CSR
+        # kernel (repro.kg.compact), so the object graph is sized for
+        # memory, not for the hot loop.
+        self._out: List[List[Edge]] = []
+        self._in: List[List[Edge]] = []
+        self._num_edges = 0
         self._by_type: Dict[str, List[int]] = {}
         self._by_name: Dict[str, List[int]] = {}
         self._predicates: Dict[str, int] = {}
-        self._edge_set: Set[Tuple[int, str, int]] = set()
 
     # ------------------------------------------------------------------
     # construction
@@ -110,8 +110,8 @@ class KnowledgeGraph:
         uid = len(self._entities)
         entity = Entity(uid=uid, name=name, etype=etype)
         self._entities.append(entity)
-        self._incident_out[uid] = []
-        self._incident_in[uid] = []
+        self._out.append([])
+        self._in.append([])
         self._by_type.setdefault(etype, []).append(uid)
         self._by_name.setdefault(name, []).append(uid)
         return entity
@@ -128,15 +128,33 @@ class KnowledgeGraph:
             raise GraphError("self-loop edges are not supported")
         self._check_uid(source)
         self._check_uid(target)
-        key = (source, predicate, target)
-        if key in self._edge_set:
+        if self._find_edge(source, predicate, target):
             return None
         edge = Edge(source=source, predicate=predicate, target=target)
-        self._edge_set.add(key)
-        self._incident_out[source].append((edge, target))
-        self._incident_in[target].append((edge, source))
+        self._out[source].append(edge)
+        self._in[target].append(edge)
+        self._num_edges += 1
         self._predicates[predicate] = self._predicates.get(predicate, 0) + 1
         return edge
+
+    def _find_edge(self, source: int, predicate: str, target: int) -> bool:
+        """Whether the exact directed edge exists (both uids valid).
+
+        Scans the shorter of ``source``'s out-edges and ``target``'s
+        in-edges — both hold the edge if it exists — so a hub on one end
+        does not make the check O(hub degree).
+        """
+        outgoing = self._out[source]
+        incoming = self._in[target]
+        if len(outgoing) <= len(incoming):
+            for edge in outgoing:
+                if edge.target == target and edge.predicate == predicate:
+                    return True
+        else:
+            for edge in incoming:
+                if edge.source == source and edge.predicate == predicate:
+                    return True
+        return False
 
     # ------------------------------------------------------------------
     # lookups
@@ -173,45 +191,33 @@ class KnowledgeGraph:
 
     def has_edge(self, source: int, predicate: str, target: int) -> bool:
         """Whether the exact directed edge exists."""
-        return (source, predicate, target) in self._edge_set
+        n = len(self._entities)
+        if not (0 <= source < n and 0 <= target < n):
+            return False
+        return self._find_edge(source, predicate, target)
 
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
     def out_edges(self, uid: int) -> List[Edge]:
-        """Directed edges leaving ``uid`` (a fresh O(degree) list).
-
-        Loop-heavy callers should prefer :meth:`out_incident`, which
-        returns the stored pairs without copying.
-        """
+        """Directed edges leaving ``uid``, in insertion order (a copy)."""
         self._check_uid(uid)
-        return [edge for edge, _other in self._incident_out[uid]]
+        return list(self._out[uid])
 
     def in_edges(self, uid: int) -> List[Edge]:
-        """Directed edges entering ``uid`` (a fresh O(degree) list).
-
-        Loop-heavy callers should prefer :meth:`in_incident`.
-        """
+        """Directed edges entering ``uid``, in insertion order (a copy)."""
         self._check_uid(uid)
-        return [edge for edge, _other in self._incident_in[uid]]
+        return list(self._in[uid])
 
     def out_incident(self, uid: int) -> List[Tuple[Edge, int]]:
-        """Live ``(edge, target)`` pairs for edges leaving ``uid``.
-
-        The returned list is the stored index — callers must not mutate
-        it.  Zero-copy counterpart of :meth:`out_edges`.
-        """
+        """``(edge, target)`` pairs for edges leaving ``uid``."""
         self._check_uid(uid)
-        return self._incident_out[uid]
+        return [(edge, edge.target) for edge in self._out[uid]]
 
     def in_incident(self, uid: int) -> List[Tuple[Edge, int]]:
-        """Live ``(edge, source)`` pairs for edges entering ``uid``.
-
-        The returned list is the stored index — callers must not mutate
-        it.  Zero-copy counterpart of :meth:`in_edges`.
-        """
+        """``(edge, source)`` pairs for edges entering ``uid``."""
         self._check_uid(uid)
-        return self._incident_in[uid]
+        return [(edge, edge.source) for edge in self._in[uid]]
 
     def incident(self, uid: int) -> Iterator[Tuple[Edge, int]]:
         """Iterate ``(edge, neighbour_uid)`` over all edges touching ``uid``.
@@ -220,33 +226,21 @@ class KnowledgeGraph:
         incoming edges are yielded, paired with the opposite endpoint —
         outgoing first, then incoming, each in insertion order (the
         historical order; equal-score search tie-breaks depend on it).
-        The pairs are precomputed at :meth:`add_edge` time, so iteration
-        is a chained list walk — this is the search layer's hottest
-        graph call.
         """
-        self._check_uid(uid)
-        out = self._incident_out[uid]
-        into = self._incident_in[uid]
-        if not into:
-            return iter(out)
-        if not out:
-            return iter(into)
-        return chain(out, into)
+        return iter(self.incident_list(uid))
 
     def incident_list(self, uid: int) -> List[Tuple[Edge, int]]:
-        """The precomputed ``(edge, neighbour_uid)`` incidence of ``uid``.
-
-        A fresh concatenated list in :meth:`incident` order.  Freeze-time
-        consumers (:mod:`repro.kg.compact`) use this to avoid walking the
-        two direction indexes themselves.
-        """
+        """The ``(edge, neighbour_uid)`` incidence of ``uid`` as a fresh
+        list, in :meth:`incident` order."""
         self._check_uid(uid)
-        return self._incident_out[uid] + self._incident_in[uid]
+        pairs = [(edge, edge.target) for edge in self._out[uid]]
+        pairs.extend([(edge, edge.source) for edge in self._in[uid]])
+        return pairs
 
     def degree(self, uid: int) -> int:
         """Undirected degree of ``uid``."""
         self._check_uid(uid)
-        return len(self._incident_out[uid]) + len(self._incident_in[uid])
+        return len(self._out[uid]) + len(self._in[uid])
 
     def neighbors(self, uid: int) -> List[int]:
         """Distinct neighbour ids of ``uid`` (undirected)."""
@@ -267,7 +261,7 @@ class KnowledgeGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edge_set)
+        return self._num_edges
 
     def predicates(self) -> List[str]:
         """All distinct predicates, in first-use order."""
@@ -300,7 +294,7 @@ class KnowledgeGraph:
         the output round-trips through :mod:`repro.kg.triples`.
         """
         for uid in range(self.num_entities):
-            for edge, _other in self._incident_out[uid]:
+            for edge in self._out[uid]:
                 yield (
                     self._entities[edge.source].name,
                     edge.predicate,

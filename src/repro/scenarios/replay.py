@@ -137,7 +137,6 @@ def replay_scenario(
     *,
     backend: str = "inline",
     workers: int = 2,
-    compact: bool = True,
     paced: bool = False,
     resources: Optional[ScenarioResources] = None,
     shared_graph: bool = False,
@@ -194,7 +193,6 @@ def replay_scenario(
         resources.config,
         backend=backend,
         workers=workers,
-        compact=compact,
         shared_graph=shared_graph,
         **extra,
     ) as service:

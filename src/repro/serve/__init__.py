@@ -5,8 +5,8 @@ rebuilds its semantic-graph state per call.  This package amortises that
 state across a workload:
 
 - :class:`~repro.serve.cache.SemanticGraphCache` — thread-safe,
-  LRU-bounded cross-query store of edge weights and ``m(u)`` adjacency
-  bounds, with hit/miss statistics;
+  LRU-bounded cross-query store of weight and ``m(u)`` rows, with
+  hit/miss statistics;
 - :class:`~repro.serve.service.QueryService` — pool front-end with
   ``submit`` / ``submit_batch`` / ``search_many``, decomposition
   memoization and per-query deadlines (mapped onto the TBQ coordinator),

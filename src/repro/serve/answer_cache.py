@@ -141,17 +141,13 @@ class EngineFingerprint:
     def from_spec(cls, spec) -> "EngineFingerprint":
         """Fingerprint a picklable spec (the process backend's parent side).
 
-        The spec may carry the graph by value (``kg``), as a frozen
-        kernel (``compact_graph``) or as a shared-memory handle — all
-        three know their entity/edge counts.
+        The spec carries the graph by value (``kg``) or, without one, as
+        a shared-memory handle (``EngineSpec`` requires one of the two);
+        both know their entity/edge counts.
         """
         if spec.kg is not None:
             graph = ("kg", spec.kg.name, spec.kg.num_entities, spec.kg.num_edges)
             anchor = spec.kg
-        elif spec.compact_graph is not None:
-            cg = spec.compact_graph
-            graph = ("compact", cg.kg_name, cg.num_nodes, cg.num_edges)
-            anchor = cg
         else:
             handle = spec.graph_handle
             graph = ("handle", handle.kg_name, handle.num_nodes, handle.num_edges)

@@ -626,17 +626,16 @@ def diff_snapshots(
 
     The backend-neutral way to report per-phase statistics: take an
     aggregate before the phase, another after, and diff.  Gauges
-    (``*_entries``, ``capacity``) describe *now* and are not subtracted.
+    (``entries``, ``capacity``) describe *now* and are not subtracted.
     """
     if current is None:
         return None
     if baseline is None:
         return current
-    gauges = ("weight_entries", "adjacency_entries", "row_entries")
     cache = CacheStats(
         **{
             name: getattr(current.cache, name)
-            - (0 if name in gauges else getattr(baseline.cache, name))
+            - (0 if name == "entries" else getattr(baseline.cache, name))
             for name in CacheStats.__dataclass_fields__
         }
     )

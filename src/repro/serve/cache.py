@@ -1,32 +1,25 @@
 """Shared, thread-safe semantic-graph weight cache.
 
-The engine's per-query :class:`~repro.core.semantic_graph.SemanticGraphView`
-is correct but amnesiac: every query re-weights the same knowledge-graph
-edges against the predicate space and re-derives the same ``m(u)`` bounds
+The engine's per-query
+:class:`~repro.core.compact_view.CompactSemanticGraphView` is correct but
+amnesiac: every query re-weights the same knowledge-graph predicates
+against the predicate space and re-derives the same ``m(u)`` bounds
 (Lemma 1).  Both quantities are pure functions of the (graph, space,
 ``min_weight``) triple — nothing about a query instance enters them — so a
 workload of repeated or overlapping queries can share them.
 
-:class:`SemanticGraphCache` holds two LRU-bounded maps:
-
-- **pair weights** ``(query predicate, graph predicate) → weight`` — the
-  Eq. 5 cosines, clamped; cheap individually but looked up on every edge
-  the A* search crosses;
-- **adjacency bounds** ``(node, query predicate) → m(u)`` — each miss costs
-  a full incident-edge scan, which makes this map the dominant saving on
-  repeated workloads (every A* estimate needs an ``m(u)``).
-
-A third LRU map holds **rows** — opaque whole-graph vectors keyed by
-``(kind, query predicate)`` — for the compact CSR kernel
-(:mod:`repro.core.compact_view`), whose unit of sharing is one query
-predicate against the entire graph (``kind="weights"``: clamped weight
-per interned graph-predicate id; ``kind="bounds"``: ``m(u)`` per node).
-Rows are treated as immutable by contract; the cache never copies them.
+:class:`SemanticGraphCache` holds one LRU-bounded map of **rows** —
+whole-graph vectors keyed by ``(kind, query predicate)`` — the unit of
+sharing of the compact CSR view (:mod:`repro.core.compact_view`): one
+query predicate against the entire graph (``kind="weights"``: clamped
+weight per interned graph-predicate id; ``kind="bounds"``: ``m(u)`` per
+node).  Rows are treated as immutable by contract; the cache never
+copies them.
 
 Eviction never affects correctness — a miss recomputes — so the LRU bound
 is purely a memory ceiling.  All operations take one lock; the critical
-sections are dict lookups, far cheaper than the graph traversal they
-replace.  Hit/miss/eviction counts are kept per map and aggregated by
+sections are dict lookups, far cheaper than the matvec and segment-max
+they replace.  Hit/miss/eviction counts are reported by
 :class:`CacheStats`.
 
 The cache must be *bound* to exactly one (graph, space, ``min_weight``)
@@ -52,30 +45,10 @@ from repro.errors import ServeError
 class CacheStats:
     """A point-in-time snapshot of cache effectiveness."""
 
-    weight_hits: int = 0
-    weight_misses: int = 0
-    weight_evictions: int = 0
-    adjacency_hits: int = 0
-    adjacency_misses: int = 0
-    adjacency_evictions: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
-    row_evictions: int = 0
-    weight_entries: int = 0
-    adjacency_entries: int = 0
-    row_entries: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.weight_hits + self.adjacency_hits + self.row_hits
-
-    @property
-    def misses(self) -> int:
-        return self.weight_misses + self.adjacency_misses + self.row_misses
-
-    @property
-    def evictions(self) -> int:
-        return self.weight_evictions + self.adjacency_evictions + self.row_evictions
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    entries: int = 0
 
     @property
     def lookups(self) -> int:
@@ -91,9 +64,7 @@ class CacheStats:
         return (
             f"hit_rate={self.hit_rate:.3f} "
             f"(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, "
-            f"entries={self.weight_entries}+{self.adjacency_entries}"
-            f"+{self.row_entries})"
+            f"evictions={self.evictions}, entries={self.entries})"
         )
 
 
@@ -136,7 +107,7 @@ class LruMap:
 
 
 class SemanticGraphCache:
-    """Cross-query LRU cache of semantic-graph weights and ``m(u)`` bounds.
+    """Cross-query LRU cache of semantic-graph weight and ``m(u)`` rows.
 
     Implements the :class:`~repro.core.semantic_graph.WeightCache`
     protocol; hand one instance to a
@@ -144,31 +115,17 @@ class SemanticGraphCache:
     or let :class:`~repro.serve.service.QueryService` own one.
 
     Args:
-        max_pairs: capacity of the pair-weight map.  The live pair count is
-            ``|query predicates seen| × |graph predicates|`` — small — so
-            the default never evicts in practice; it exists as a hard
-            ceiling for adversarial predicate churn.
-        max_adjacency: capacity of the adjacency map, the memory-heavy one
-            (up to ``|touched nodes| × |query predicates seen|`` entries).
-        max_rows: capacity of the row map used by compact views.  The
-            live count is ``2 × |query predicates seen|``; the bound caps
-            adversarial predicate churn.  Unlike the scalar maps, each
-            entry here is a whole-graph vector — bounds rows cost 8 bytes
-            *per graph node* — so deployments on very large graphs should
-            size ``max_rows`` against ``8 × num_nodes`` per entry, not
-            treat it as a near-free ceiling.
+        max_rows: capacity of the row map.  The live count is
+            ``2 × |query predicates seen|``; the bound caps adversarial
+            predicate churn.  Each entry is a whole-graph vector —
+            bounds rows cost 8 bytes *per graph node* — so deployments on
+            very large graphs should size ``max_rows`` against
+            ``8 × num_nodes`` per entry, not treat it as a near-free
+            ceiling.
     """
 
-    def __init__(
-        self,
-        *,
-        max_pairs: int = 65536,
-        max_adjacency: int = 1_000_000,
-        max_rows: int = 1024,
-    ):
+    def __init__(self, *, max_rows: int = 1024):
         self._lock = threading.Lock()
-        self._weights = LruMap(max_pairs)
-        self._adjacent = LruMap(max_adjacency)
         self._rows = LruMap(max_rows)
         self._fingerprint: Optional[Tuple] = None
 
@@ -201,24 +158,8 @@ class SemanticGraphCache:
                     "graph mutation."
                 )
 
-    def get_weight(self, query_predicate: str, graph_predicate: str) -> Optional[float]:
-        with self._lock:
-            return self._weights.get((query_predicate, graph_predicate))
-
-    def put_weight(self, query_predicate: str, graph_predicate: str, weight: float) -> None:
-        with self._lock:
-            self._weights.put((query_predicate, graph_predicate), weight)
-
-    def get_adjacent(self, uid: int, query_predicate: str) -> Optional[float]:
-        with self._lock:
-            return self._adjacent.get((uid, query_predicate))
-
-    def put_adjacent(self, uid: int, query_predicate: str, weight: float) -> None:
-        with self._lock:
-            self._adjacent.put((uid, query_predicate), weight)
-
     def get_row(self, kind: str, query_predicate: str) -> Optional[object]:
-        """One whole-graph row (compact-kernel protocol); ``None`` on miss."""
+        """One whole-graph row; ``None`` on miss."""
         with self._lock:
             return self._rows.get((kind, query_predicate))
 
@@ -235,33 +176,19 @@ class SemanticGraphCache:
         """Consistent snapshot of counters and entry counts."""
         with self._lock:
             return CacheStats(
-                weight_hits=self._weights.hits,
-                weight_misses=self._weights.misses,
-                weight_evictions=self._weights.evictions,
-                adjacency_hits=self._adjacent.hits,
-                adjacency_misses=self._adjacent.misses,
-                adjacency_evictions=self._adjacent.evictions,
-                row_hits=self._rows.hits,
-                row_misses=self._rows.misses,
-                row_evictions=self._rows.evictions,
-                weight_entries=len(self._weights.entries),
-                adjacency_entries=len(self._adjacent.entries),
-                row_entries=len(self._rows.entries),
+                hits=self._rows.hits,
+                misses=self._rows.misses,
+                evictions=self._rows.evictions,
+                entries=len(self._rows.entries),
             )
 
     def __len__(self) -> int:
         with self._lock:
-            return (
-                len(self._weights.entries)
-                + len(self._adjacent.entries)
-                + len(self._rows.entries)
-            )
+            return len(self._rows.entries)
 
     def clear(self) -> None:
         """Drop all entries (the binding and counters survive)."""
         with self._lock:
-            self._weights.clear()
-            self._adjacent.clear()
             self._rows.clear()
 
     def reset_stats(self) -> None:
@@ -272,7 +199,6 @@ class SemanticGraphCache:
         cold misses.
         """
         with self._lock:
-            for lru in (self._weights, self._adjacent, self._rows):
-                lru.hits = 0
-                lru.misses = 0
-                lru.evictions = 0
+            self._rows.hits = 0
+            self._rows.misses = 0
+            self._rows.evictions = 0

@@ -46,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SearchConfig
@@ -252,7 +252,7 @@ def query_shape_key(
 
 
 def _share_graph(spec: EngineSpec) -> Tuple[EngineSpec, SharedCompactGraph]:
-    """Rewrite a compact spec to ship its graph by shared-memory reference.
+    """Rewrite a spec to ship its graph by shared-memory reference.
 
     Freezes the CSR kernel if the spec does not already carry one,
     publishes its columns into one segment, and returns the worker-bound
@@ -260,11 +260,6 @@ def _share_graph(spec: EngineSpec) -> Tuple[EngineSpec, SharedCompactGraph]:
     its pickle is O(metadata) — together with the owning lease the caller
     must keep alive while workers are attached and close afterwards.
     """
-    if not spec.compact:
-        raise ServeError(
-            "shared_graph needs the compact CSR kernel; build the service "
-            "with compact=True (--view compact)"
-        )
     compact_graph = spec.compact_graph
     if compact_graph is None:
         assert spec.kg is not None
@@ -306,7 +301,7 @@ class QueryService:
             :class:`~repro.kg.compact.CompactGraphHandle` instead of the
             graph arrays.  Workers attach zero-copy (O(metadata) warmup,
             one physical graph copy pool-wide); results stay bit-identical.
-            Requires a compact spec.  The service owns the segment: it is
+            The service owns the segment: it is
             unlinked on :meth:`close` (after the pool is down) and by a
             finalizer if the owner crashes.
         supervised: wrap the backend in a
@@ -638,61 +633,22 @@ class QueryService:
         library: Optional[TransformationLibrary] = None,
         config: Optional[SearchConfig] = None,
         *,
-        compact: bool = False,
-        view_factory=None,
-        assembly_kernel: str = "vectorized",
-        search_kernel: str = "auto",
         backend: str = "thread",
         workers: Optional[int] = None,
         **kwargs,
     ) -> "QueryService":
         """Build an engine (or spec) and wrap it in one call.
 
-        ``compact=True`` serves every query off the frozen CSR kernel
-        (:mod:`repro.core.compact_view`); ``view_factory`` passes a custom
-        view seam through (shared-memory backends only — it may not
-        pickle); ``assembly_kernel`` picks the TA assembly implementation
-        and ``search_kernel`` the per-sub-query A* implementation;
         ``backend``/``workers`` pick the execution backend and pool size.
-        ``shared_graph=True`` (process backend, with ``compact=True``)
-        publishes the frozen kernel into shared memory so workers attach
-        zero-copy instead of unpickling graph arrays.  Exact results are
-        identical under every combination.
+        For the process backend the graph is frozen once here and the
+        snapshot shipped, so N workers do not each redo the O(V+E)
+        freeze; ``shared_graph=True`` publishes it into shared memory
+        instead, so workers attach zero-copy.  Exact results are
+        identical on every backend.
         """
-        if view_factory is not None:
-            if backend == "process":
-                raise ServeError(
-                    "the process backend cannot ship a custom view_factory "
-                    "to its workers; use compact=True or a shared-memory "
-                    "backend"
-                )
-            engine = SemanticGraphQueryEngine(
-                kg,
-                space,
-                library,
-                config,
-                compact=compact,
-                view_factory=view_factory,
-                assembly_kernel=assembly_kernel,
-                search_kernel=search_kernel,
-            )
-            return cls(engine, backend=backend, workers=workers, **kwargs)
-        spec = EngineSpec(
-            kg=kg,
-            space=space,
-            library=library,
-            config=config,
-            compact=compact,
-            assembly_kernel=assembly_kernel,
-            search_kernel=search_kernel,
-        )
+        spec = EngineSpec(kg=kg, space=space, library=library, config=config)
         if backend == "process":
-            if compact:
-                # Freeze once in the parent and ship the snapshot, so N
-                # workers do not each redo the O(V+E) freeze.
-                from repro.kg.compact import CompactGraph
-
-                spec = replace(spec, compact_graph=CompactGraph.freeze(kg))
+            spec = replace(spec, compact_graph=CompactGraph.freeze(kg))
             return cls(spec=spec, backend=backend, workers=workers, **kwargs)
         return cls(build_engine(spec), backend=backend, workers=workers, **kwargs)
 

@@ -50,8 +50,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.assembly import ASSEMBLY_KERNELS
-from repro.core.astar import SEARCH_KERNELS
 from repro.errors import OverloadError, ScenarioError, ServeError
 from repro.query.model import QueryGraph
 from repro.serve.backends import EXECUTION_BACKENDS
@@ -707,42 +705,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shared-graph",
         action="store_true",
         help=(
-            "process backend only (with --view compact): publish the "
+            "process backend only: publish the "
             "frozen CSR graph into one shared-memory segment; workers "
             "attach zero-copy instead of unpickling graph arrays "
             "(identical results, O(metadata) worker warmup, one physical "
             "graph copy pool-wide)"
-        ),
-    )
-    parser.add_argument(
-        "--view",
-        default="lazy",
-        choices=("lazy", "compact"),
-        help=(
-            "semantic-graph kernel: 'lazy' is the paper's per-query "
-            "on-demand view, 'compact' the frozen CSR kernel with "
-            "vectorized weights (identical results, different cost)"
-        ),
-    )
-    parser.add_argument(
-        "--assembly-kernel",
-        default="vectorized",
-        choices=ASSEMBLY_KERNELS,
-        help=(
-            "TA assembly implementation: the incremental numpy kernel "
-            "(default) or the pure-Python reference assembler "
-            "(identical results, different cost)"
-        ),
-    )
-    parser.add_argument(
-        "--search-kernel",
-        default="auto",
-        choices=SEARCH_KERNELS,
-        help=(
-            "A* search implementation: 'auto' runs the array-backed "
-            "kernel whenever the view is compact, 'vectorized' forces it "
-            "(requires --view compact), 'reference' forces the Algorithm "
-            "1 transcription (identical results, different cost)"
         ),
     )
     parser.add_argument(
@@ -942,7 +909,7 @@ def _run_scenario(args, parser) -> int:
         f"{workload.scale} ({resources.kg.num_entities} entities, "
         f"{resources.kg.num_edges} edges), {len(workload.queries)} queries, "
         f"k={workload.k}, tau={workload.tau} "
-        f"({args.view} view, {args.backend} backend)"
+        f"({args.backend} backend)"
     )
     print(
         "intent mix: "
@@ -981,9 +948,6 @@ def _run_scenario(args, parser) -> int:
         resources.config,
         backend=args.backend,
         workers=args.workers,
-        compact=(args.view == "compact"),
-        assembly_kernel=args.assembly_kernel,
-        search_kernel=args.search_kernel,
         shared_graph=args.shared_graph,
         **resilience_kwargs,
         **answer_kwargs,
@@ -1055,12 +1019,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--tbq-fraction requires --deadline")
     if args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
-    if args.search_kernel == "vectorized" and args.view != "compact":
-        parser.error("--search-kernel vectorized requires --view compact")
     if args.shared_graph and args.backend != "process":
         parser.error("--shared-graph requires --backend process")
-    if args.shared_graph and args.view != "compact":
-        parser.error("--shared-graph requires --view compact")
     if args.scenario is not None:
         return _run_scenario(args, parser)
     # Deferred import: bundle generation pulls in the full bench stack.
@@ -1070,7 +1030,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"{args.preset}: {bundle.kg.num_entities} entities, "
         f"{bundle.kg.num_edges} edges, {len(bundle.workload)} queries "
-        f"({args.view} view, {args.backend} backend)"
+        f"({args.backend} backend)"
     )
     # With a --tbq-fraction only the seeded slice gets the deadline;
     # without one the historical all-or-nothing semantics apply.
@@ -1111,9 +1071,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bundle.library,
         backend=args.backend,
         workers=args.workers,
-        compact=(args.view == "compact"),
-        assembly_kernel=args.assembly_kernel,
-        search_kernel=args.search_kernel,
         shared_graph=args.shared_graph,
         **resilience_kwargs,
         **answer_kwargs,

@@ -375,11 +375,10 @@ class TestEngineFingerprintFromSpec:
             with contextlib.ExitStack() as stack:
                 graph = {"kg": kg}
                 if form == "compact_graph":
-                    graph.update(compact=True, compact_graph=frozen)
+                    graph.update(compact_graph=frozen)
                 elif form == "graph_handle":
                     lease = stack.enter_context(frozen.to_shared())
-                    graph = {"kg": None, "compact": True,
-                             "graph_handle": lease.handle}
+                    graph = {"kg": None, "graph_handle": lease.handle}
                 spec = EngineSpec(
                     space=space, library=small_bundle.library,
                     config=config, **graph,
@@ -405,7 +404,7 @@ class TestServiceIntegration:
     def test_hit_is_bit_identical_and_counted(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True, answer_cache=8,
+            backend="inline", answer_cache=8,
         ) as service:
             first = service.submit(_product_query(), k=K).result()
             second = service.submit(_product_query(), k=K).result()
@@ -420,7 +419,7 @@ class TestServiceIntegration:
     def test_tbq_requests_bypass_the_cache(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True, answer_cache=8,
+            backend="inline", answer_cache=8,
         ) as service:
             service.submit(_product_query(), k=K, deadline=0.5).result()
             service.submit(_product_query(), k=K, deadline=0.5).result()
@@ -435,7 +434,7 @@ class TestServiceIntegration:
         per-worker sum."""
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, answer_cache=8,
+            backend="process", workers=2, answer_cache=8,
         ) as service:
             service.submit(_product_query(), k=K).result()
             service.submit(_product_query(), k=K).result()
@@ -450,7 +449,7 @@ class TestServiceIntegration:
 
     def test_shared_cache_survives_across_services(self, small_bundle):
         cache = AnswerCache(8)
-        build = dict(backend="inline", compact=False, answer_cache=cache)
+        build = dict(backend="inline", answer_cache=cache)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library, **build
         ) as service:
@@ -468,7 +467,7 @@ class TestServiceIntegration:
         assert cache.stats().invalidations == 1
 
     def test_cache_argument_validated(self, small_bundle):
-        build = dict(backend="inline", compact=True)
+        build = dict(backend="inline")
         with pytest.raises(ServeError):
             QueryService.build(
                 small_bundle.kg, small_bundle.space, small_bundle.library,
@@ -492,7 +491,7 @@ class TestSingleflight:
         calls = []
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=4, compact=True, answer_cache=8,
+            backend="thread", workers=4, answer_cache=8,
         ) as service:
             engine = service.engine
             original = engine.search
@@ -525,7 +524,7 @@ class TestSingleflight:
         release = threading.Event()
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=2, compact=True, answer_cache=8,
+            backend="thread", workers=2, answer_cache=8,
         ) as service:
             engine = service.engine
             original = engine.search
@@ -563,7 +562,7 @@ class TestSupervisedComposition:
         release = threading.Event()
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=1, compact=True,
+            backend="thread", workers=1,
             answer_cache=8, max_pending=1,
         ) as service:
             service.submit(hot, k=K).result(timeout=60)  # prime the cache

@@ -1,6 +1,6 @@
 """Cross-view conformance: the compact CSR kernel must be indistinguishable
-from the lazy semantic-graph view — same weights, same m(u) bounds, same
-matches — standalone and backed by a shared SemanticGraphCache."""
+from the lazy semantic-graph view oracle — same weights, same m(u) bounds,
+same matches — standalone and backed by a shared SemanticGraphCache."""
 
 from __future__ import annotations
 
@@ -8,10 +8,11 @@ import pickle
 
 import pytest
 
+from repro.bench.equivalence import lazy_oracle_engine
 from repro.core.compact_view import CompactSemanticGraphView, CompactViewFactory
-from repro.core.engine import SemanticGraphQueryEngine
+from repro.core.engine import EngineSpec, SemanticGraphQueryEngine, build_engine
 from repro.core.semantic_graph import SemanticGraphView
-from repro.errors import SearchError, ServeError
+from repro.errors import ServeError
 from repro.kg.compact import CompactGraph
 from repro.serve.cache import SemanticGraphCache
 from repro.utils.rng import derive_rng
@@ -123,10 +124,10 @@ class TestCompactGraphFreeze:
 # ----------------------------------------------------------------------
 # view-level conformance: weights and m(u)
 # ----------------------------------------------------------------------
-def _views(kg, space, *, min_weight=0.0, lazy_cache=None, compact_cache=None):
-    lazy = SemanticGraphView(kg, space, min_weight=min_weight, cache=lazy_cache)
+def _views(kg, space, *, min_weight=0.0):
+    lazy = SemanticGraphView(kg, space, min_weight=min_weight)
     compact = CompactSemanticGraphView(
-        CompactGraph.freeze(kg), space, min_weight=min_weight, cache=compact_cache
+        CompactGraph.freeze(kg), space, min_weight=min_weight
     )
     return lazy, compact
 
@@ -214,108 +215,107 @@ def _assert_same_results(a, b):
 class TestEngineConformance:
     def test_identical_matches_uncached(self, small_bundle):
         bundle = small_bundle
-        lazy = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
-        compact = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, compact=True
-        )
+        lazy = lazy_oracle_engine(bundle.kg, bundle.space, bundle.library)
+        engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
         for workload_query in bundle.workload:
             _assert_same_results(
                 lazy.search(workload_query.query, k=10),
-                compact.search(workload_query.query, k=10),
+                engine.search(workload_query.query, k=10),
             )
 
     def test_identical_matches_each_with_own_shared_cache(self, small_bundle):
+        # Both search kernels over compact views, each engine backed by
+        # its own row cache: warm rows change cost, never answers.
         bundle = small_bundle
-        lazy = SemanticGraphQueryEngine(
+        reference = SemanticGraphQueryEngine(
             bundle.kg, bundle.space, bundle.library,
             weight_cache=SemanticGraphCache(),
+            search_kernel="reference", assembly_kernel="reference",
         )
-        compact = SemanticGraphQueryEngine(
+        engine = SemanticGraphQueryEngine(
             bundle.kg, bundle.space, bundle.library,
-            weight_cache=SemanticGraphCache(), compact=True,
+            weight_cache=SemanticGraphCache(),
         )
         for _pass in range(2):  # pass 2 serves from warm caches
             for workload_query in bundle.workload:
                 _assert_same_results(
-                    lazy.search(workload_query.query, k=10),
-                    compact.search(workload_query.query, k=10),
+                    reference.search(workload_query.query, k=10),
+                    engine.search(workload_query.query, k=10),
                 )
 
-    def test_identical_matches_one_cache_shared_by_both_views(self, small_bundle):
-        # One SemanticGraphCache may back lazy AND compact views of the
-        # same graph: entries are pure functions of (graph, space,
-        # min_weight) however they are laid out (pairs vs rows).
+    def test_lazy_oracle_matches_cache_backed_engine(self, small_bundle):
+        # The lazy oracle recomputes everything; the engine serves pass 2
+        # from rows it published in pass 1.  Answers must not move.
         bundle = small_bundle
         cache = SemanticGraphCache()
-        lazy = SemanticGraphQueryEngine(
+        lazy = lazy_oracle_engine(bundle.kg, bundle.space, bundle.library)
+        engine = SemanticGraphQueryEngine(
             bundle.kg, bundle.space, bundle.library, weight_cache=cache
         )
-        compact = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, weight_cache=cache, compact=True
-        )
-        for workload_query in bundle.workload:
-            _assert_same_results(
-                lazy.search(workload_query.query, k=10),
-                compact.search(workload_query.query, k=10),
-            )
+        for _pass in range(2):
+            for workload_query in bundle.workload:
+                _assert_same_results(
+                    lazy.search(workload_query.query, k=10),
+                    engine.search(workload_query.query, k=10),
+                )
         stats = cache.stats
-        assert stats.row_entries > 0  # compact published rows
-        assert stats.weight_entries > 0  # lazy published pairs
+        assert stats.entries > 0  # the engine published rows
+        assert stats.hits > 0  # and pass 2 reused them
 
     def test_compact_view_hits_shared_rows_across_queries(self, small_bundle):
         bundle = small_bundle
         cache = SemanticGraphCache()
         engine = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, weight_cache=cache, compact=True
+            bundle.kg, bundle.space, bundle.library, weight_cache=cache
         )
         query = bundle.workload[0].query
         engine.search(query, k=5)
         cold = cache.stats
         engine.search(query, k=5)
         warm = cache.stats
-        assert warm.row_hits > cold.row_hits  # second query reused rows
+        assert warm.hits > cold.hits  # second query reused rows
 
     def test_time_bounded_equivalent_under_budget_clock(self, small_bundle):
-        # With a generous deterministic budget both kernels harvest the
-        # same matches through the TBQ path.
+        # With a generous deterministic budget the oracle and the engine
+        # harvest the same matches through the TBQ path.
         from repro.utils.timing import BudgetClock
 
         bundle = small_bundle
         query = bundle.workload[0].query
-        results = []
-        for compact in (False, True):
-            engine = SemanticGraphQueryEngine(
-                bundle.kg, bundle.space, bundle.library, compact=compact
+        results = [
+            engine.search_time_bounded(
+                query, k=5, time_bound=1e6, clock=BudgetClock(1e-4)
             )
-            results.append(
-                engine.search_time_bounded(
-                    query, k=5, time_bound=1e6, clock=BudgetClock(1e-4)
-                )
+            for engine in (
+                lazy_oracle_engine(bundle.kg, bundle.space, bundle.library),
+                SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library),
             )
+        ]
         _assert_same_results(results[0], results[1])
 
-    def test_compact_and_view_factory_mutually_exclusive(self, small_bundle):
-        with pytest.raises(SearchError):
-            SemanticGraphQueryEngine(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                compact=True,
-                view_factory=SemanticGraphView,
-            )
-
-    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("shipped_kernel", [False, True])
     def test_graph_growth_under_live_cache_raises(
-        self, fig2_kg, fig2_space, compact
+        self, fig2_kg, fig2_space, shipped_kernel
     ):
-        # Cached m(u) bounds (and compact rows) are invalidated by graph
+        # Cached m(u) bounds and weight rows are invalidated by graph
         # growth; the binding fingerprint carries the entity/edge counts,
         # so the next view construction fails loudly instead of serving
-        # stale bounds.
+        # stale bounds — whether the engine froze the graph itself or was
+        # built from a spec shipping an already-frozen (pickled) kernel.
         cache = SemanticGraphCache()
-        engine = SemanticGraphQueryEngine(
-            fig2_kg, fig2_space, weight_cache=cache, compact=compact
-        )
+        if shipped_kernel:
+            spec = EngineSpec(
+                kg=fig2_kg,
+                space=fig2_space,
+                compact_graph=pickle.loads(
+                    pickle.dumps(CompactGraph.freeze(fig2_kg))
+                ),
+            )
+            engine = build_engine(spec, weight_cache=cache)
+        else:
+            engine = SemanticGraphQueryEngine(
+                fig2_kg, fig2_space, weight_cache=cache
+            )
         engine._make_view()  # binds at the current shape
         grown = fig2_kg.add_entity("Porsche", "Automobile")
         fig2_kg.add_edge(grown.uid, "assembly", 3)
@@ -324,9 +324,7 @@ class TestEngineConformance:
 
     def test_engine_stats_populated_by_compact_view(self, small_bundle):
         bundle = small_bundle
-        engine = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, compact=True
-        )
+        engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
         result = engine.search(bundle.workload[0].query, k=5)
         total = result.total_stats()
         assert total.nodes_touched > 0
@@ -337,11 +335,9 @@ class TestEngineConformance:
         # (compact counts bound consultations exactly where lazy
         # materialises incidence to derive the bound).
         bundle = small_bundle
-        lazy = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
-        compact = SemanticGraphQueryEngine(
-            bundle.kg, bundle.space, bundle.library, compact=True
-        )
+        lazy = lazy_oracle_engine(bundle.kg, bundle.space, bundle.library)
+        engine = SemanticGraphQueryEngine(bundle.kg, bundle.space, bundle.library)
         for workload_query in bundle.workload:
             a = lazy.search(workload_query.query, k=5).total_stats()
-            b = compact.search(workload_query.query, k=5).total_stats()
+            b = engine.search(workload_query.query, k=5).total_stats()
             assert a.nodes_touched == b.nodes_touched

@@ -113,6 +113,8 @@ class TestCompactGraphHandle:
 
 
 class TestEngineSpec:
+    # lazy: the rebuilt engine freezes the graph itself; compact: the
+    # spec ships the already-frozen kernel.
     @pytest.mark.parametrize("compact", [False, True], ids=["lazy", "compact"])
     def test_rebuilt_engine_is_behaviourally_identical(
         self, small_bundle, compact
@@ -121,7 +123,6 @@ class TestEngineSpec:
             kg=small_bundle.kg,
             space=small_bundle.space,
             library=small_bundle.library,
-            compact=compact,
             compact_graph=(
                 CompactGraph.freeze(small_bundle.kg) if compact else None
             ),
@@ -138,37 +139,20 @@ class TestEngineSpec:
     def test_engine_to_spec_roundtrip(self, small_bundle):
         engine = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            compact=True,
         )
         spec = engine.to_spec()
         # The already-frozen kernel rides along — workers skip the freeze.
         assert spec.compact_graph is not None
         thawed = _roundtrip(spec)
-        assert thawed.compact and thawed.compact_graph is not None
+        assert thawed.compact_graph is not None
         assert thawed.compact_graph.num_edges == small_bundle.kg.num_edges
 
-    def test_to_spec_grafts_frozen_kernel_onto_cached_spec(self, small_bundle):
-        """An engine built from a graphless compact spec still ships the
-        kernel it froze, so process workers never redo the O(V+E) freeze."""
-        spec = EngineSpec(
-            kg=small_bundle.kg,
-            space=small_bundle.space,
-            library=small_bundle.library,
-            compact=True,
-        )
-        assert spec.compact_graph is None
-        engine = build_engine(spec)
-        shipped = engine.to_spec()
-        assert shipped.compact_graph is not None
-        assert shipped.compact_graph.num_edges == small_bundle.kg.num_edges
-
     def test_custom_view_factory_has_no_spec(self, small_bundle):
-        from repro.core.compact_view import lazy_view_factory
+        from repro.bench.equivalence import lazy_oracle_engine
         from repro.errors import SearchError
 
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            view_factory=lazy_view_factory,
+        engine = lazy_oracle_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         with pytest.raises(SearchError):
             engine.to_spec()

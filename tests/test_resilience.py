@@ -54,7 +54,7 @@ def reference(request):
     """Inline, unsupervised answers — the baseline every recovery must hit."""
     bundle = request.getfixturevalue("small_bundle")
     with QueryService.build(
-        bundle.kg, bundle.space, bundle.library, backend="inline", compact=True
+        bundle.kg, bundle.space, bundle.library, backend="inline"
     ) as service:
         return _signatures(service.search_many(_queries(bundle), k=5))
 
@@ -167,7 +167,7 @@ class TestInlineSupervision:
         plan = FaultPlan(transient_at=(2, 4), seed=5)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True,
+            backend="inline",
             fault_plan=plan, retry_policy=FAST_POLICY,
         ) as service:
             results = service.search_many(_queries(small_bundle), k=5)
@@ -182,7 +182,7 @@ class TestInlineSupervision:
         plan = FaultPlan(fatal_at=(1,))
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True,
+            backend="inline",
             fault_plan=plan, retry_policy=FAST_POLICY,
         ) as service:
             future = service.submit(_queries(small_bundle)[0], k=5)
@@ -197,7 +197,7 @@ class TestInlineSupervision:
         plan = FaultPlan(transient_at=(1, 2, 3))
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True,
+            backend="inline",
             fault_plan=plan,
             retry_policy=BackoffPolicy(retries=2, base_seconds=0.0,
                                        cap_seconds=0.0),
@@ -215,7 +215,7 @@ class TestInlineSupervision:
     ):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=2, compact=True, supervised=True,
+            backend="thread", workers=2, supervised=True,
         ) as service:
             results = service.search_many(_queries(small_bundle), k=5)
             stats = service.stats_snapshot()
@@ -229,7 +229,7 @@ class TestInlineSupervision:
     def test_unsupervised_service_reports_no_resilience(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True,
+            backend="inline",
         ) as service:
             assert not service.supervised
             assert service.resilience() is None
@@ -241,7 +241,7 @@ class TestSheddingAndTimeout:
         plan = FaultPlan(latency_at=(1, 2, 3), latency_seconds=0.3)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=1, compact=True,
+            backend="thread", workers=1,
             fault_plan=plan, max_pending=1,
         ) as service:
             queries = _queries(small_bundle, count=3)
@@ -264,7 +264,7 @@ class TestSheddingAndTimeout:
         plan = FaultPlan(latency_at=(1,), latency_seconds=5.0)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=1, compact=True,
+            backend="thread", workers=1,
             fault_plan=plan, hard_timeout=0.1,
         ) as service:
             future = service.submit(_queries(small_bundle)[0], k=5)
@@ -279,7 +279,7 @@ class TestWarmupTimeout:
     def test_warmup_timeout_is_a_clear_serve_error(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
         ) as service:
             with pytest.raises(ServeError, match="'process' backend warmup"):
                 service.warmup(timeout=1e-6)
@@ -297,7 +297,7 @@ class TestProcessRecovery:
         plan = FaultPlan(crash_at=(3,), transient_at=(2,), seed=11)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, shared_graph=True,
+            backend="process", workers=2, shared_graph=True,
             fault_plan=plan,
             retry_policy=BackoffPolicy(retries=5, base_seconds=0.005,
                                        cap_seconds=0.05, seed=11),
@@ -324,7 +324,7 @@ class TestProcessRecovery:
         queries = _queries(small_bundle)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, shared_graph=True,
+            backend="process", workers=2, shared_graph=True,
             supervised=True, retry_policy=FAST_POLICY,
         ) as service:
             service.warmup()
@@ -359,7 +359,7 @@ class TestProcessRecovery:
         plan = FaultPlan(fail_shm_attach=True, epochs=10)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
             fault_plan=plan, retry_policy=FAST_POLICY,
             breaker_threshold=2, breaker_cooldown=600.0,
         ) as service:

@@ -7,8 +7,8 @@ emission order, paths down to shared ``Edge`` objects) and every search
 counter (expansions, τ/visited/bound prunes, stale pops, queue peak)
 must be identical, across randomized graphs, multi-segment sub-queries,
 τ sweeps and mid-stream ``next_match`` resumption.  The identity
-predicates are shared with the CI gate (`repro.bench.equivalence`), so
-the tests and the gate cannot drift in what they check.
+predicates (`repro.bench.equivalence`) are shared with the workload
+conformance suite, so the two cannot drift in what they check.
 """
 
 import pytest
@@ -69,7 +69,7 @@ class TestRandomizedConformance:
     @pytest.mark.parametrize("policy", list(VisitedPolicy))
     def test_full_drain_identical(self, rand_bundle, policy):
         engine = SemanticGraphQueryEngine(
-            rand_bundle.kg, rand_bundle.space, rand_bundle.library, compact=True
+            rand_bundle.kg, rand_bundle.space, rand_bundle.library
         )
         exercised_stale = 0
         for tau in TAUS:
@@ -101,7 +101,7 @@ class TestRandomizedConformance:
     def test_midstream_resumption_identical(self, rand_bundle):
         """Pull-by-pull interleaving pauses and resumes both kernels."""
         engine = SemanticGraphQueryEngine(
-            rand_bundle.kg, rand_bundle.space, rand_bundle.library, compact=True
+            rand_bundle.kg, rand_bundle.space, rand_bundle.library
         )
         config = SearchConfig(tau=0.5)
         query = rand_bundle.workload[-1]
@@ -135,7 +135,7 @@ class TestRandomizedConformance:
     def test_tbq_harvest_identical(self, rand_bundle, policy):
         """Algorithm 2 harvesting produces the same M̂_i per sub-query."""
         engine = SemanticGraphQueryEngine(
-            rand_bundle.kg, rand_bundle.space, rand_bundle.library, compact=True
+            rand_bundle.kg, rand_bundle.space, rand_bundle.library
         )
         config = SearchConfig(tau=0.5, visited_policy=policy)
         query = rand_bundle.workload[0]
@@ -165,7 +165,7 @@ class TestRandomizedConformance:
 
     def test_max_expansions_cap_identical(self, rand_bundle):
         engine = SemanticGraphQueryEngine(
-            rand_bundle.kg, rand_bundle.space, rand_bundle.library, compact=True
+            rand_bundle.kg, rand_bundle.space, rand_bundle.library
         )
         config = SearchConfig(tau=0.5, max_expansions=25)
         query = rand_bundle.workload[0]
@@ -186,7 +186,7 @@ class TestBruteForceOracle:
     @pytest.fixture(scope="class")
     def setup(self, small_bundle):
         engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         return small_bundle, engine
 
@@ -223,11 +223,11 @@ class TestBruteForceOracle:
 
 
 class TestDispatch:
-    """The kernel seam: auto resolution, forcing, and rejection."""
+    """The kernel seam: the vectorized default, forcing, and rejection."""
 
     def test_auto_picks_vectorized_on_compact_view(self, small_bundle):
         engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         decomposition = engine.decompose(small_bundle.workload[0].query)
         view = engine._make_view()
@@ -237,26 +237,16 @@ class TestDispatch:
         )
         assert isinstance(search, VectorizedSubQuerySearch)
 
-    def test_auto_falls_back_on_lazy_view(self, small_bundle):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library
-        )
-        decomposition = engine.decompose(small_bundle.workload[0].query)
-        view = engine._make_view()
-        assert not supports_vectorized_search(view)
-        search = build_subquery_search(
-            view, decomposition.subqueries[0], engine.matcher, engine.config
-        )
-        assert isinstance(search, SubQuerySearch)
-
     def test_vectorized_rejects_lazy_view(self, small_bundle):
         engine = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library
         )
         decomposition = engine.decompose(small_bundle.workload[0].query)
+        view = SemanticGraphView(small_bundle.kg, small_bundle.space)
+        assert not supports_vectorized_search(view)
         with pytest.raises(SearchError):
             build_subquery_search(
-                engine._make_view(),
+                view,
                 decomposition.subqueries[0],
                 engine.matcher,
                 engine.config,
@@ -265,7 +255,7 @@ class TestDispatch:
 
     def test_unknown_kernel_rejected(self, small_bundle):
         engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         decomposition = engine.decompose(small_bundle.workload[0].query)
         with pytest.raises(SearchError):
@@ -285,32 +275,11 @@ class TestDispatch:
                 small_bundle.library,
                 search_kernel="simd",
             )
-        assert "auto" in SEARCH_KERNELS
-
-    def test_engine_rejects_vectorized_on_lazy_views_eagerly(self, small_bundle):
-        """The default lazy view can never feed the vectorized kernel,
-        so the engine fails at construction, not per query."""
-        with pytest.raises(SearchError):
-            SemanticGraphQueryEngine(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                search_kernel="vectorized",
-            )
-        # compact=True (and a compact-capable factory) remain valid.
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg,
-            small_bundle.space,
-            small_bundle.library,
-            compact=True,
-            search_kernel="vectorized",
-        )
-        result = engine.search(small_bundle.workload[0].query, k=3)
-        assert result.matches
+        assert SEARCH_KERNELS == ("vectorized", "reference")
 
     def test_pool_arrays_export(self, small_bundle):
         engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library, compact=True
+            small_bundle.kg, small_bundle.space, small_bundle.library
         )
         decomposition = engine.decompose(small_bundle.workload[0].query)
         search = build_subquery_search(
@@ -341,7 +310,6 @@ class TestEngineCallSites:
                 small_bundle.kg,
                 small_bundle.space,
                 small_bundle.library,
-                compact=True,
                 search_kernel=kernel,
             )
             for kernel in ("reference", "vectorized")

@@ -11,7 +11,11 @@ design (same exclusion the view-kernel conformance suite makes).
 
 import pytest
 
-from repro.bench.equivalence import final_matches_differ, search_stats_differ
+from repro.bench.equivalence import (
+    final_matches_differ,
+    lazy_oracle_engine,
+    search_stats_differ,
+)
 from repro.core.engine import SemanticGraphQueryEngine
 from repro.errors import ServeError
 from repro.query.builder import QueryGraphBuilder
@@ -49,13 +53,22 @@ def _assert_identical(label, expected, actual):
 
 @pytest.fixture(scope="module")
 def reference_results(small_bundle):
-    """Sequential engine results per (view kind, qid) — the ground truth."""
+    """Sequential results per (oracle, qid) — the ground truth.
+
+    The ``lazy`` entries come from the lazy oracle engine (lazy view,
+    reference A* and TA), the ``compact`` ones from a directly
+    constructed default engine.
+    """
     out = {}
-    for compact in (False, True):
-        engine = SemanticGraphQueryEngine(
-            small_bundle.kg, small_bundle.space, small_bundle.library,
-            compact=compact,
-        )
+    engines = {
+        False: lazy_oracle_engine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
+        ),
+        True: SemanticGraphQueryEngine(
+            small_bundle.kg, small_bundle.space, small_bundle.library
+        ),
+    }
+    for compact, engine in engines.items():
         for q in small_bundle.workload[:4]:
             out[(compact, q.qid)] = engine.search(q.query, k=K)
     return out
@@ -74,7 +87,6 @@ class TestCrossBackendConformance:
             small_bundle.library,
             backend=backend,
             workers=2,
-            compact=compact,
         ) as service:
             # Two passes: warm caches/memos must not change results.
             for run in (1, 2):
@@ -93,12 +105,12 @@ class TestCrossBackendConformance:
         batch = [query] * 6
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="thread", workers=2, compact=True,
+            backend="thread", workers=2,
         ) as thread_svc:
             thread_results = thread_svc.search_many(batch, k=K)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
         ) as process_svc:
             process_results = process_svc.search_many(batch, k=K)
             memo_hits = process_svc.memo_hits
@@ -113,7 +125,7 @@ class TestProcessBackend:
     def test_deadline_requests_run_time_bounded(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
         ) as service:
             result = service.submit(_product_query(), k=K, deadline=0.5).result()
             assert result.approximate is True
@@ -136,7 +148,7 @@ class TestProcessBackend:
     def test_warmup_reports_ready_workers(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
         ) as service:
             warmed = service.warmup()
             assert 1 <= warmed <= 2
@@ -147,7 +159,7 @@ class TestProcessBackend:
     def test_serving_stats_are_labelled_per_worker_sum(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True,
+            backend="process", workers=2,
         ) as service:
             service.search_many([_product_query()] * 4, k=K)
             report = service.serving_stats()
@@ -161,7 +173,7 @@ class TestProcessBackend:
     def test_reset_rebases_counters(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=1, compact=True,
+            backend="process", workers=1,
         ) as service:
             service.search_many([_product_query()] * 2, k=K)
             before = service.serving_stats()
@@ -182,18 +194,6 @@ class TestProcessBackend:
         with pytest.raises(ServeError):
             QueryService(
                 engine, backend="process", cache=SemanticGraphCache()
-            )
-
-    def test_custom_view_factory_rejected(self, small_bundle):
-        from repro.core.compact_view import lazy_view_factory
-
-        with pytest.raises(ServeError):
-            QueryService.build(
-                small_bundle.kg,
-                small_bundle.space,
-                small_bundle.library,
-                backend="process",
-                view_factory=lazy_view_factory,
             )
 
     def test_unknown_backend_rejected(self, small_bundle):
@@ -308,7 +308,6 @@ class TestSeededReplayDeterminism:
                 small_bundle.library,
                 backend=backend,
                 workers=2,
-                compact=True,
             ) as service:
                 report = replay(
                     service,
@@ -354,7 +353,6 @@ class TestAnswerCacheConformance:
             small_bundle.library,
             backend=backend,
             workers=2,
-            compact=True,
             answer_cache=32,
         ) as service:
             # Pass 1 is all cold misses; pass 2 is all warm hits.  Both

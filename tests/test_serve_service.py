@@ -69,7 +69,7 @@ class TestEquivalence:
             small_bundle.kg,
             small_bundle.space,
             small_bundle.library,
-            weight_cache=SemanticGraphCache(max_pairs=8, max_adjacency=16),
+            weight_cache=SemanticGraphCache(max_rows=2),
         )
         plain = SemanticGraphQueryEngine(
             small_bundle.kg, small_bundle.space, small_bundle.library

@@ -314,13 +314,14 @@ class TestConsoleEntrypoint:
         assert "assembly share" in out
         assert "search vs assembly per query" in out
 
-    def test_main_search_kernel_vectorized_requires_compact(self):
+    @pytest.mark.parametrize(
+        "flag", ["--view", "--search-kernel", "--assembly-kernel"]
+    )
+    def test_main_rejects_retired_path_flags(self, flag):
+        # One engine path: no flag selects a view or a kernel any more.
         with pytest.raises(SystemExit):
             workload_main(
-                [
-                    "--preset", "dbpedia", "--scale", "1.0",
-                    "--search-kernel", "vectorized",
-                ]
+                ["--preset", "dbpedia", "--scale", "1.0", flag, "reference"]
             )
 
     def test_main_compact_vectorized_search(self, capsys):
@@ -328,7 +329,6 @@ class TestConsoleEntrypoint:
             [
                 "--preset", "dbpedia", "--scale", "1.0", "--seed", "11",
                 "--repeats", "1", "--k", "4", "--workers", "2",
-                "--view", "compact", "--search-kernel", "vectorized",
                 "--breakdown",
             ]
         )
@@ -336,28 +336,6 @@ class TestConsoleEntrypoint:
         out = capsys.readouterr().out
         assert "latency by complexity class:" in out
         assert "search totals:" in out
-
-    def test_main_reference_assembly_kernel(self, capsys):
-        code = workload_main(
-            [
-                "--preset",
-                "dbpedia",
-                "--scale",
-                "1.0",
-                "--seed",
-                "11",
-                "--repeats",
-                "1",
-                "--k",
-                "4",
-                "--workers",
-                "2",
-                "--assembly-kernel",
-                "reference",
-            ]
-        )
-        assert code == 0
-        assert "throughput" in capsys.readouterr().out
 
     def test_main_compact_view(self, capsys):
         code = workload_main(
@@ -374,13 +352,11 @@ class TestConsoleEntrypoint:
                 "4",
                 "--workers",
                 "2",
-                "--view",
-                "compact",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "(compact view, thread backend)" in out
+        assert "(thread backend)" in out
         assert "pass 2/2 (warm)" in out
 
     def test_main_process_backend(self, capsys):
@@ -388,7 +364,7 @@ class TestConsoleEntrypoint:
             [
                 "--preset", "dbpedia", "--scale", "1.0", "--seed", "11",
                 "--repeats", "2", "--k", "4", "--workers", "2",
-                "--view", "compact", "--backend", "process", "--breakdown",
+                "--backend", "process", "--breakdown",
             ]
         )
         assert code == 0
@@ -448,8 +424,7 @@ class TestScenarioEntrypoint:
 
     def test_scenario_replay_prints_identical_digests(self, capsys):
         code = workload_main(
-            ["--scenario", self.ARTIFACT, "--repeats", "2",
-             "--view", "compact", "--workers", "2"]
+            ["--scenario", self.ARTIFACT, "--repeats", "2", "--workers", "2"]
         )
         assert code == 0
         out = capsys.readouterr().out

@@ -227,20 +227,13 @@ class TestSharedGraphService:
         with pytest.raises(ServeError, match="process backend"):
             QueryService.build(
                 small_bundle.kg, small_bundle.space, small_bundle.library,
-                backend="thread", compact=True, shared_graph=True,
-            )
-
-    def test_shared_graph_requires_compact(self, small_bundle):
-        with pytest.raises(ServeError, match="compact"):
-            QueryService.build(
-                small_bundle.kg, small_bundle.space, small_bundle.library,
-                backend="process", compact=False, shared_graph=True,
+                backend="thread", shared_graph=True,
             )
 
     def test_no_segment_outlives_the_service(self, small_bundle):
         service = QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, shared_graph=True,
+            backend="process", workers=2, shared_graph=True,
         )
         lease = service.graph_lease
         assert lease is not None
@@ -253,7 +246,7 @@ class TestSharedGraphService:
     def test_spec_ships_handle_not_graph(self, small_bundle):
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, shared_graph=True,
+            backend="process", workers=2, shared_graph=True,
         ) as service:
             spec = service.spec
             assert spec.kg is None
@@ -261,7 +254,7 @@ class TestSharedGraphService:
             assert spec.graph_handle is not None
             with QueryService.build(
                 small_bundle.kg, small_bundle.space, small_bundle.library,
-                backend="process", workers=2, compact=True,
+                backend="process", workers=2,
             ) as baseline:
                 arrays_bytes = len(pickle.dumps(baseline.spec))
             handle_bytes = len(pickle.dumps(spec))
@@ -274,12 +267,12 @@ class TestSharedGraphService:
         labels = [q.qid for q in small_bundle.workload[:4]]
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="inline", compact=True,
+            backend="inline",
         ) as reference_service:
             reference = reference_service.search_many(queries, k=K)
         with QueryService.build(
             small_bundle.kg, small_bundle.space, small_bundle.library,
-            backend="process", workers=2, compact=True, shared_graph=True,
+            backend="process", workers=2, shared_graph=True,
         ) as service:
             assert service.warmup(timeout=60) >= 1
             for run in (1, 2):  # warm pass must not change results either
